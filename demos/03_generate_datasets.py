@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bbuclust import (Clustering, ProblemConfig, fitness, load_dataset,
-                      make_dataset, save_dataset)
+from bbuclust import (Clustering, ProblemConfig, load_dataset, make_dataset,
+                      metrics, save_dataset)
 
 for kind in ("1a", "1c-milan", "1c-songliao", "2a", "2b", "3a"):
     ds = make_dataset(kind, seed=0, n_days=2)
@@ -23,8 +23,8 @@ for kind in ("1a", "1c-milan", "1c-songliao", "2a", "2b", "3a"):
 # every hour, so the certificate clustering has zero deviation
 ds = make_dataset("2b", seed=1, n_days=1, n_groups=5, np_max=4, tau_gen=10.0)
 cert = Clustering(labels=np.array(ds.manifest.optimal_labels))
-fv = fitness(cert, ds.traffic[0], ProblemConfig(w=0.01, tau=10.0, H=24))
-print(f"\nplanted optimum: K = {fv.K}, U = {fv.u_mean} (exactly zero)")
+rep = metrics(cert, ds.traffic[0], ProblemConfig(w=0.01, tau=10.0, H=24))
+print(f"\nplanted optimum: K = {rep.K}, U = {rep.U} (exactly zero)")
 
 # round-trip through the CSV layout
 with tempfile.TemporaryDirectory() as tmp:

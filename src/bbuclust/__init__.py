@@ -2,10 +2,9 @@
 
 from .model import (Clustering, PointSet, ProblemConfig, TrafficDay,
                     build_distance_matrix, haversine_meters, is_feasible,
-                    members, normalize_labels)
-from .objective import (FitnessValue, LegacyScore, MetricsReport, cluster_hourly_sum,
-                        cluster_utility, fitness, legacy_mean_m, legacy_score,
-                        metrics, peak_hours)
+                    members, normalize_labels, within_tau)
+from .objective import (FitnessValue, LegacyScore, MetricsReport, cluster_utility,
+                        legacy_mean_m, legacy_score, metrics, peak_hours)
 from .forecast import (ForecastError, forecast_error, make_forecaster,
                        oracle_predict, persistence_predict)
 from .datasets import (Dataset, DatasetManifest, load_csv_dataset, load_dataset,
@@ -22,10 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Clustering", "PointSet", "ProblemConfig", "TrafficDay",
     "build_distance_matrix", "haversine_meters", "is_feasible", "members",
-    "normalize_labels",
-    "FitnessValue", "LegacyScore", "MetricsReport", "cluster_hourly_sum",
-    "cluster_utility", "fitness", "legacy_mean_m", "legacy_score", "metrics",
-    "peak_hours",
+    "normalize_labels", "within_tau",
+    "FitnessValue", "LegacyScore", "MetricsReport", "cluster_utility",
+    "legacy_mean_m", "legacy_score", "metrics", "peak_hours",
     "ForecastError", "forecast_error", "make_forecaster", "oracle_predict",
     "persistence_predict",
     "Dataset", "DatasetManifest", "load_csv_dataset", "load_dataset",

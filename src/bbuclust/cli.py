@@ -16,8 +16,8 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--seed", type=int, default=0, help="base seed; per-run seeds derive from it")
     p.add_argument("--w", type=float, default=0.01)
-    p.add_argument("--tau", type=float, default=None, help="absolute distance cap")
-    p.add_argument("--tau-mode", choices=["absolute", "3x-mean-nn"], default="3x-mean-nn")
+    p.add_argument("--tau", type=float, default=None,
+                   help="absolute distance cap (default: 3x the mean nearest-neighbour distance)")
     p.add_argument("--forecaster", choices=["oracle", "persistence"], default="oracle")
     p.add_argument("--alpha", type=float, default=0.05, choices=[0.05, 0.10])
     p.add_argument("--popsize", type=int, default=10)
@@ -36,14 +36,18 @@ def _build_spec(args) -> harness.ExperimentSpec:
     names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
     algs = harness.standard_algorithms(names, popsize=args.popsize, maxgen=args.maxgen,
                                        prob=args.prob, budget=args.budget)
-    if args.tau_mode == "absolute" and args.tau is None:
-        raise ValueError("--tau-mode absolute requires --tau")
     return harness.ExperimentSpec(
         dataset=ds, algorithms=tuple(algs), runs=args.runs, base_seed=args.seed,
-        w=args.w, tau=args.tau, tau_mode=args.tau_mode, forecaster=args.forecaster,
+        w=args.w, tau=args.tau, forecaster=args.forecaster,
         alpha=args.alpha, workers=args.workers,
         score_on_predicted=args.score_on_predicted,
         allow_unequal_budgets=args.allow_unequal_budgets)
+
+
+def _write_table(table: harness.ResultTable, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "table.json").write_text(table.to_json() + "\n")
+    (out / "table.txt").write_text(table.render() + "\n")
 
 
 def _cmd_run(args) -> int:
@@ -52,10 +56,8 @@ def _cmd_run(args) -> int:
     print(result.table.render())
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        _write_table(result.table, out)
         harness.write_records(result.records, out / "records.ndjson")
-        (out / "table.json").write_text(result.table.to_json() + "\n")
-        (out / "table.txt").write_text(result.table.render() + "\n")
         print(f"wrote {out / 'records.ndjson'}, table.json, table.txt")
     return 0
 
@@ -86,10 +88,7 @@ def _cmd_compare(args) -> int:
     table = harness.aggregate(records, alpha=args.alpha)
     print(table.render())
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "table.json").write_text(table.to_json() + "\n")
-        (out / "table.txt").write_text(table.render() + "\n")
+        _write_table(table, Path(args.out))
     return 0
 
 

@@ -10,7 +10,7 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -19,11 +19,11 @@ import numpy as np
 from .datasets import Dataset
 from .forecast import make_forecaster
 from .model import Clustering, PointSet, ProblemConfig, TrafficDay
-from .objective import cluster_utility, legacy_score, metrics
+from .objective import MetricsReport, legacy_terms, metrics
 from .solvers import EaConfig, run_ea, run_greedy
 from .stats import friedman_nemenyi
 
-METRIC_NAMES = ("K", "U", "Udelay", "Uunder1", "f")
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
 
 ALGORITHM_PRESETS = ("splitea", "randea", "copyea", "greedy")
 
@@ -97,8 +97,7 @@ class ExperimentSpec:
     runs: int = 30
     base_seed: int = 0
     w: float = 0.01
-    tau: float | None = None
-    tau_mode: str = "3x-mean-nn"
+    tau: float | None = None  # None: 3x the mean nearest-neighbour distance
     forecaster: str = "oracle"
     alpha: float = 0.05
     workers: int = 1
@@ -166,21 +165,21 @@ def run_seed(base_seed: int, algorithm: str, run: int) -> int:
     return (base_seed ^ stable_hash64(f"{algorithm}:{run}")) & ((1 << 63) - 1)
 
 
-def resolve_tau(point_set: PointSet, mode: str = "3x-mean-nn",
-                value: float | None = None) -> float:
+def resolve_tau(point_set: PointSet, value: float | None = None) -> float:
     """Resolve the distance cap: an absolute value, or 3x the mean NN distance."""
     if value is not None:
         if value <= 0:
             raise ValueError(f"tau must be positive, got {value}")
         return float(value)
-    if mode != "3x-mean-nn":
-        raise ValueError(f"unknown tau mode {mode!r}; expected 'absolute' (with a value) "
-                         f"or '3x-mean-nn'")
     if point_set.n_points < 2:
         raise ValueError("3x-mean-nn needs at least 2 points; pass an absolute tau")
     d = point_set.dist.copy()
     np.fill_diagonal(d, np.inf)
-    return 3.0 * float(d.min(axis=1).mean())
+    tau = 3.0 * float(d.min(axis=1).mean())
+    if tau == 0.0:
+        raise ValueError("3x-mean-nn gives tau = 0: every point shares its position with "
+                         "another; pass an absolute tau")
+    return tau
 
 
 def _plan_days(traffic: Sequence[TrafficDay], forecaster: str,
@@ -210,10 +209,9 @@ def _run_single(args) -> RunRecord:
                                  checkpoint_every=alg.popsize)
     days = []
     for dr, st, day in zip(day_results, score_traffic, served):
-        rep = metrics(dr.best, st, problem)
-        days.append(DayRecord(day=day, K=rep.K, U=rep.U, Udelay=rep.Udelay,
-                              Uunder1=rep.Uunder1, f=rep.f, opt_f=dr.best_fitness.f,
-                              evals_used=dr.evals_used, trace=tuple(dr.trace)))
+        days.append(DayRecord(day=day, **asdict(metrics(dr.best, st, problem)),
+                              opt_f=dr.best_fitness.f, evals_used=dr.evals_used,
+                              trace=tuple(dr.trace)))
     return RunRecord(algorithm=alg.name, run=run, seed=seed, days=tuple(days))
 
 
@@ -230,7 +228,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError(f"per-day evaluation budgets differ: {budgets}; "
                          f"set allow_unequal_budgets to compare anyway")
 
-    tau = resolve_tau(ds.point_set, spec.tau_mode, spec.tau)
+    tau = resolve_tau(ds.point_set, spec.tau)
     problem = ProblemConfig(w=spec.w, tau=tau, H=ds.manifest.hours)
     served, opt_traffic = _plan_days(ds.traffic, spec.forecaster)
     score_traffic = opt_traffic if spec.score_on_predicted else [ds.traffic[s] for s in served]
@@ -294,12 +292,7 @@ def write_records(records: Sequence[RunRecord], path: str | Path) -> None:
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w") as fh:
         for r in records:
-            doc = {"algorithm": r.algorithm, "run": r.run, "seed": r.seed,
-                   "days": [{"day": d.day, "K": d.K, "U": d.U, "Udelay": d.Udelay,
-                             "Uunder1": d.Uunder1, "f": d.f, "opt_f": d.opt_f,
-                             "evals_used": d.evals_used, "trace": list(d.trace)}
-                            for d in r.days]}
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
 def read_records(path: str | Path) -> list[RunRecord]:
@@ -310,12 +303,9 @@ def read_records(path: str | Path) -> list[RunRecord]:
             if not line:
                 continue
             doc = json.loads(line)
-            days = tuple(DayRecord(day=d["day"], K=d["K"], U=d["U"], Udelay=d["Udelay"],
-                                   Uunder1=d["Uunder1"], f=d["f"], opt_f=d["opt_f"],
-                                   evals_used=d["evals_used"], trace=tuple(d["trace"]))
-                         for d in doc["days"])
-            records.append(RunRecord(algorithm=doc["algorithm"], run=doc["run"],
-                                     seed=doc["seed"], days=days))
+            doc["days"] = tuple(DayRecord(**{**d, "trace": tuple(d["trace"])})
+                                for d in doc["days"])
+            records.append(RunRecord(**doc))
     return records
 
 
@@ -344,7 +334,7 @@ def sweep(spec: ExperimentSpec, param: str, values: Sequence[float],
         if param == "w":
             s = replace(spec, w=float(v))
         elif param == "tau":
-            s = replace(spec, tau=float(v), tau_mode="absolute")
+            s = replace(spec, tau=float(v))
         elif param == "prob":
             algs = tuple(replace(a, prob=float(v)) if a.kind == "ea" else a
                          for a in spec.algorithms)
@@ -399,12 +389,7 @@ def micro_reference_rows() -> list[dict]:
         traffic = TrafficDay(values=np.array(table, dtype=float))
         for label, labs in MICRO_CLUSTERINGS:
             clustering = Clustering(labels=np.array(labs, dtype=np.int64))
-            per_cluster = []
-            for kk in range(1, clustering.K + 1):
-                mem = np.flatnonzero(clustering.labels == kk)
-                one_minus_u = 1.0 - cluster_utility(traffic, mem)
-                ent = legacy_score(mem, traffic, m=1).h_entropy
-                per_cluster.append((one_minus_u, ent))
+            per_cluster = legacy_terms(clustering, traffic)
             rows.append({
                 "dataset": ds_name,
                 "clustering": label,

@@ -152,13 +152,18 @@ def haversine_meters(p: tuple[float, float], q: tuple[float, float]) -> float:
     return float(_haversine_matrix(pos)[0, 1])
 
 
+def within_tau(point_set: PointSet, tau: float) -> np.ndarray:
+    """The (N, N) bool mask of point pairs at most tau apart."""
+    return point_set.dist <= tau
+
+
 def is_feasible(clustering: Clustering, point_set: PointSet, tau: float) -> bool:
     """True iff every within-cluster pairwise distance is <= tau."""
     labels = clustering.labels
     if labels.size != point_set.n_points:
         raise ValueError("clustering and point set sizes differ")
     same = labels[:, None] == labels[None, :]
-    return bool((point_set.dist[same] <= tau).all())
+    return bool(within_tau(point_set, tau)[same].all())
 
 
 def normalize_labels(clustering: Clustering) -> Clustering:

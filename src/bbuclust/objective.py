@@ -65,12 +65,6 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float) -> tuple[flo
     return w * K + u_mean, K, u_mean
 
 
-def cluster_hourly_sum(traffic: TrafficDay, members: Iterable[int], h: int) -> float:
-    """Summed traffic of the given points at hour h."""
-    idx = np.fromiter(members, dtype=np.int64)
-    return float(traffic.values[idx, h].sum())
-
-
 def cluster_utility(traffic: TrafficDay, members: Iterable[int]) -> float:
     """Mean absolute deviation of the cluster's hourly sums from 1."""
     idx = np.fromiter(members, dtype=np.int64)
@@ -78,17 +72,6 @@ def cluster_utility(traffic: TrafficDay, members: Iterable[int]) -> float:
         raise ValueError("cluster has no members")
     sums = traffic.values[idx].sum(axis=0)
     return float(np.abs(sums - 1.0).mean())
-
-
-def fitness(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) -> FitnessValue:
-    """Evaluate f = w*K + (1/K) sum_k U(C_k) for a clustering.
-
-    Feasibility w.r.t. tau is the caller's responsibility; the objective
-    itself only reads traffic.
-    """
-    _check_shapes(clustering, traffic, config)
-    f, K, u_mean = fitness_parts(clustering.labels, traffic.values, config.w)
-    return FitnessValue(f=f, K=K, u_mean=u_mean)
 
 
 def metrics(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) -> MetricsReport:
@@ -143,20 +126,28 @@ def legacy_score(members: Iterable[int], traffic: TrafficDay, m: int = 1) -> Leg
                        m_product=u_legacy * h_entropy, peak_hours=peaks)
 
 
-def legacy_mean_m(clustering: Clustering, traffic: TrafficDay, m: int = 1) -> float:
-    """Cluster-mean of (1 - U(C_k)) * entropy(C_k).
+def legacy_terms(clustering: Clustering, traffic: TrafficDay,
+                 m: int = 1) -> list[tuple[float, float]]:
+    """Per-cluster (1 - U(C_k), entropy(C_k)) pairs, in label order.
 
     Uses the deviation-from-1 utility of :func:`cluster_utility` (not the
-    exponent form), so a cluster is rewarded for both tight hourly sums and
-    diverse member peak hours.
+    exponent form) and the peak-hour entropy of :func:`legacy_score`.
     """
-    vals = []
+    terms = []
     for k in range(1, clustering.K + 1):
         mem = np.flatnonzero(clustering.labels == k)
-        u = cluster_utility(traffic, mem)
-        ent = legacy_score(mem, traffic, m).h_entropy
-        vals.append((1.0 - u) * ent)
-    return float(np.mean(vals))
+        terms.append((1.0 - cluster_utility(traffic, mem),
+                      legacy_score(mem, traffic, m).h_entropy))
+    return terms
+
+
+def legacy_mean_m(clustering: Clustering, traffic: TrafficDay, m: int = 1) -> float:
+    """Cluster-mean of (1 - U(C_k)) * entropy(C_k), from :func:`legacy_terms`.
+
+    A cluster is rewarded for both tight hourly sums and diverse member peak
+    hours.
+    """
+    return float(np.mean([u * ent for u, ent in legacy_terms(clustering, traffic, m)]))
 
 
 def _check_shapes(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) -> None:

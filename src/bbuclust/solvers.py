@@ -8,17 +8,23 @@ public surface wraps them in :class:`~bbuclust.model.Clustering`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Clustering, PointSet, ProblemConfig, TrafficDay, renumber
+from .model import Clustering, PointSet, ProblemConfig, TrafficDay, renumber, within_tau
 from .objective import FitnessValue, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
 
 # Called with each newly constructed label array (feasibility instrumentation).
 AuditHook = Callable[[np.ndarray], None]
+
+# A solver's day-by-day search: given the tau mask and each day's (N, H)
+# traffic, it yields per day the labels to deploy, the search trace and the
+# evaluations charged.
+DaySearch = Callable[[np.ndarray, list[np.ndarray]],
+                     Iterator[tuple[np.ndarray, list[float], int]]]
 
 
 @dataclass(frozen=True)
@@ -146,17 +152,20 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return renumber(new)
 
 
-def initial_pop(point_set: PointSet, tau: float, popsize: int,
-                rng: np.random.Generator) -> list[Clustering]:
-    """Generate popsize random feasible clusterings (unevaluated)."""
-    adj = point_set.dist <= tau
+def initial_pop(adj: np.ndarray, popsize: int, rng: np.random.Generator) -> list[Clustering]:
+    """Generate popsize random feasible clusterings (unevaluated).
+
+    ``adj`` is the tau mask of :func:`~bbuclust.model.within_tau`.
+    """
     return [Clustering(_initial_labels(adj, rng)) for _ in range(popsize)]
 
 
-def mutate(parent: Clustering, point_set: PointSet, tau: float, prob: float,
+def mutate(parent: Clustering, adj: np.ndarray, prob: float,
            rng: np.random.Generator) -> Clustering:
-    """One feasibility-preserving mutation of a parent clustering."""
-    adj = point_set.dist <= tau
+    """One feasibility-preserving mutation of a parent clustering.
+
+    ``adj`` is the tau mask of :func:`~bbuclust.model.within_tau`.
+    """
     return Clustering(_mutate_labels(parent.labels, adj, prob, rng))
 
 
@@ -164,6 +173,32 @@ def split_population(population: Sequence[Clustering],
                      rng: np.random.Generator) -> list[Clustering]:
     """Split one random cluster in each individual (next-day diversification)."""
     return [Clustering(_split_labels(ind.labels, rng)) for ind in population]
+
+
+def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
+                problem: ProblemConfig, search: DaySearch) -> list[DayResult]:
+    """The day driver both solvers share.
+
+    Checks the traffic against the point set and ``problem.H``, builds the
+    tau mask once, runs ``search`` over the days and re-scores each day's
+    deployed labels (an uncharged evaluation) into a :class:`DayResult`.
+    """
+    if len(traffic_by_day) == 0:
+        raise ValueError("traffic_by_day is empty")
+    for t in traffic_by_day:
+        if t.n_points != point_set.n_points:
+            raise ValueError("traffic and point set disagree on N")
+        if t.n_hours != problem.H:
+            raise ValueError(f"traffic has {t.n_hours} hours but config.H = {problem.H}")
+    values_by_day = [t.values for t in traffic_by_day]
+    days = search(within_tau(point_set, problem.tau), values_by_day)
+    results: list[DayResult] = []
+    for d, (values, (labels, trace, evals)) in enumerate(zip(values_by_day, days)):
+        f, K, u_mean = fitness_parts(labels, values, problem.w)
+        results.append(DayResult(day=d, best=Clustering(labels.copy()),
+                                 best_fitness=FitnessValue(f=f, K=K, u_mean=u_mean),
+                                 trace=trace, evals_used=evals))
+    return results
 
 
 def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: EaConfig,
@@ -183,63 +218,50 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
     """
-    n_days = len(traffic_by_day)
-    if n_days == 0:
-        raise ValueError("traffic_by_day is empty")
-    adj = point_set.dist <= problem.tau
-    for t in traffic_by_day:
-        if t.n_points != point_set.n_points:
-            raise ValueError("traffic and point set disagree on N")
-        if t.n_hours != problem.H:
-            raise ValueError(f"traffic has {t.n_hours} hours but config.H = {problem.H}")
+    def search(adj, values_by_day):
+        seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
+        rng = np.random.default_rng(seeds[0])
+        pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
+        if audit is not None:
+            for lab in pop:
+                audit(lab)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(n_days + 1)
-    rng_init = np.random.default_rng(seeds[0])
-    pop = [_initial_labels(adj, rng_init) for _ in range(config.popsize)]
-    if audit is not None:
-        for lab in pop:
-            audit(lab)
+        for d, values in enumerate(values_by_day):
+            if d:
+                # Seed today's population from yesterday's, with yesterday's rng.
+                if config.variant == "split":
+                    pop = [_split_labels(lab, rng) for lab in pop]
+                elif config.variant == "rand":
+                    pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
+                # "copy": population carries over as-is.
+                if audit is not None and config.variant != "copy":
+                    for lab in pop:
+                        audit(lab)
+            rng = np.random.default_rng(seeds[d + 1])
+            fits = np.array([fitness_parts(lab, values, problem.w)[0] for lab in pop])
+            evals = config.popsize
+            order = np.argsort(fits, kind="stable")
+            pop = [pop[i] for i in order]
+            fits = fits[order]
+            trace = [float(fits[0])]
 
-    results: list[DayResult] = []
-    for d, traffic in enumerate(traffic_by_day):
-        rng = np.random.default_rng(seeds[d + 1])
-        values = traffic.values
-        fits = np.array([fitness_parts(lab, values, problem.w)[0] for lab in pop])
-        evals = config.popsize
-        order = np.argsort(fits, kind="stable")
-        pop = [pop[i] for i in order]
-        fits = fits[order]
-        trace = [float(fits[0])]
+            for _ in range(config.maxgen):
+                offspring = [_mutate_labels(lab, adj, config.prob, rng) for lab in pop]
+                if audit is not None:
+                    for lab in offspring:
+                        audit(lab)
+                off_fits = np.array([fitness_parts(lab, values, problem.w)[0]
+                                     for lab in offspring])
+                evals += config.popsize
+                merged = pop + offspring
+                merged_fits = np.concatenate([fits, off_fits])
+                keep = np.argsort(merged_fits, kind="stable")[: config.popsize]
+                pop = [merged[i] for i in keep]
+                fits = merged_fits[keep]
+                trace.append(float(fits[0]))
+            yield pop[0], trace, evals
 
-        for _ in range(config.maxgen):
-            offspring = [_mutate_labels(lab, adj, config.prob, rng) for lab in pop]
-            if audit is not None:
-                for lab in offspring:
-                    audit(lab)
-            off_fits = np.array([fitness_parts(lab, values, problem.w)[0] for lab in offspring])
-            evals += config.popsize
-            merged = pop + offspring
-            merged_fits = np.concatenate([fits, off_fits])
-            keep = np.argsort(merged_fits, kind="stable")[: config.popsize]
-            pop = [merged[i] for i in keep]
-            fits = merged_fits[keep]
-            trace.append(float(fits[0]))
-
-        f, K, u_mean = fitness_parts(pop[0], values, problem.w)
-        results.append(DayResult(day=d, best=Clustering(pop[0].copy()),
-                                 best_fitness=FitnessValue(f=f, K=K, u_mean=u_mean),
-                                 trace=trace, evals_used=evals))
-
-        if d + 1 < n_days:
-            if config.variant == "split":
-                pop = [_split_labels(lab, rng) for lab in pop]
-            elif config.variant == "rand":
-                pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
-            # "copy": population carries over as-is.
-            if audit is not None and config.variant != "copy":
-                for lab in pop:
-                    audit(lab)
-    return results
+    return _solve_days(point_set, traffic_by_day, problem, search)
 
 
 def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget: int,
@@ -263,65 +285,49 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     n = point_set.n_points
-    adj = point_set.dist <= problem.tau
-    for t in traffic_by_day:
-        if t.n_points != n:
-            raise ValueError("traffic and point set disagree on N")
-        if t.n_hours != problem.H:
-            raise ValueError(f"traffic has {t.n_hours} hours but config.H = {problem.H}")
 
-    results: list[DayResult] = []
-    for d, traffic in enumerate(traffic_by_day):
-        values = traffic.values
-        labels = np.arange(1, n + 1, dtype=np.int64)
-        if audit is not None:
-            audit(labels)
-        cur_f = fitness_parts(labels, values, problem.w)[0]
-        baseline_f = cur_f
-        commit_log: list[tuple[int, float]] = []
-        evals = 0
-        while evals < budget:
-            x = int(rng.integers(n))
-            kx = int(labels[x])
-            K = int(labels.max())
-            outside = np.bincount(labels[~adj[x]], minlength=K + 1)
-            full = np.flatnonzero(outside[1:] == 0) + 1
-            targets = full[full != kx]
+    def search(adj, values_by_day):
+        for values in values_by_day:
+            labels = np.arange(1, n + 1, dtype=np.int64)
+            if audit is not None:
+                audit(labels)
+            cur_f = fitness_parts(labels, values, problem.w)[0]
+            trace = [cur_f]
+            checkpoint = checkpoint_every
+            evals = 0
+            while evals < budget:
+                x = int(rng.integers(n))
+                kx = int(labels[x])
+                K = int(labels.max())
+                outside = np.bincount(labels[~adj[x]], minlength=K + 1)
+                full = np.flatnonzero(outside[1:] == 0) + 1
 
-            best_f = None
-            best_labels = None
-            # Candidate 0 is "stay"; strict < below keeps current on ties.
-            candidates: list[np.ndarray] = [labels]
-            for t_label in targets:
-                moved = labels.copy()
-                moved[x] = t_label
-                candidates.append(renumber(moved))
-            for i, cand in enumerate(candidates):
-                if evals >= budget:
-                    break
-                if audit is not None and i > 0:
-                    audit(cand)
-                f = fitness_parts(cand, values, problem.w)[0]
+                # The first candidate is "stay"; strict < keeps it on ties.
+                best_f = fitness_parts(labels, values, problem.w)[0]
+                best_labels = labels
                 evals += 1
-                if best_f is None or f < best_f:
-                    best_f = f
-                    best_labels = cand
-            if best_f is not None and best_f < cur_f:
-                labels = best_labels
-                cur_f = best_f
-            commit_log.append((evals, cur_f))
+                for t_label in full[full != kx]:
+                    if evals >= budget:
+                        break
+                    moved = labels.copy()
+                    moved[x] = t_label
+                    cand = renumber(moved)
+                    if audit is not None:
+                        audit(cand)
+                    f = fitness_parts(cand, values, problem.w)[0]
+                    evals += 1
+                    if f < best_f:
+                        best_f, best_labels = f, cand
 
-        trace = [baseline_f]
-        j = 0
-        cur = baseline_f
-        for c in range(checkpoint_every, budget + 1, checkpoint_every):
-            while j < len(commit_log) and commit_log[j][0] <= c:
-                cur = commit_log[j][1]
-                j += 1
-            trace.append(cur)
+                # Checkpoints passed mid-round still see the previous commit.
+                while checkpoint < evals:
+                    trace.append(cur_f)
+                    checkpoint += checkpoint_every
+                if best_f < cur_f:
+                    labels, cur_f = best_labels, best_f
+                if checkpoint == evals:
+                    trace.append(cur_f)
+                    checkpoint += checkpoint_every
+            yield labels, trace, evals
 
-        f, K, u_mean = fitness_parts(labels, values, problem.w)
-        results.append(DayResult(day=d, best=Clustering(labels.copy()),
-                                 best_fitness=FitnessValue(f=f, K=K, u_mean=u_mean),
-                                 trace=trace, evals_used=evals))
-    return results
+    return _solve_days(point_set, traffic_by_day, problem, search)

@@ -16,7 +16,7 @@ def ds_dir(tmp_path_factory):
 
 
 RUN_FLAGS = ["--algorithms", "splitea,greedy", "--runs", "2", "--popsize", "4",
-             "--maxgen", "5", "--budget", "20", "--tau", "10", "--tau-mode", "absolute"]
+             "--maxgen", "5", "--budget", "20", "--tau", "10"]
 
 
 def test_gen_dataset_files(ds_dir):
@@ -53,7 +53,7 @@ def test_run_deterministic_bytes(ds_dir, tmp_path):
 def test_compare_merges_records(ds_dir, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     base = ["--dataset", str(ds_dir), "--runs", "2", "--popsize", "4", "--maxgen", "5",
-            "--budget", "20", "--tau", "10", "--tau-mode", "absolute"]
+            "--budget", "20", "--tau", "10"]
     assert cli.main(["run", *base, "--algorithms", "splitea", "--out", str(out1)]) == 0
     assert cli.main(["run", *base, "--algorithms", "greedy", "--out", str(out2)]) == 0
     capsys.readouterr()
@@ -100,10 +100,6 @@ def test_table1_output(capsys):
 
 def test_error_exits(ds_dir, tmp_path, capsys):
     assert cli.main(["run", "--dataset", str(tmp_path / "nope"), *RUN_FLAGS]) == 1
-    assert "error:" in capsys.readouterr().err
-    # absolute tau mode requires a --tau value
-    assert cli.main(["run", "--dataset", str(ds_dir), "--algorithms", "greedy",
-                     "--runs", "2", "--budget", "20", "--tau-mode", "absolute"]) == 1
     assert "error:" in capsys.readouterr().err
     assert cli.main(["gen-dataset", "--type", "1c-milan", "--seed", "0", "--days", "1",
                      "--hours", "12", "--out", str(tmp_path / "x")]) == 1

@@ -66,7 +66,7 @@ def test_gen_traffic_known_optimum_exact_unit_sums(rng):
             sums = d.values[g].sum(axis=0) if len(g) > 1 else d.values[g[0]]
             # the certificate must be exact, not approximately 1
             assert np.all(objective.cluster_sums(labels.labels, d.values) == 1.0)
-        assert objective.fitness(labels, d, cfg).u_mean == 0.0
+        assert objective.metrics(labels, d, cfg).U == 0.0
         assert d.values.min() > 0.0 and d.values.max() <= 1.0
     with pytest.raises(ValueError):
         datasets.gen_traffic_known_optimum([[0, 1], [3]], 4, 1, 24, rng)
@@ -109,7 +109,7 @@ def test_make_dataset_kinds():
             assert m.optimal_labels is not None
             cl = model.Clustering(labels=np.array(m.optimal_labels))
             cfg = model.ProblemConfig(w=0.01, tau=1.0, H=m.hours)
-            assert objective.fitness(cl, ds.traffic[0], cfg).u_mean == 0.0
+            assert objective.metrics(cl, ds.traffic[0], cfg).U == 0.0
         else:
             assert m.optimal_labels is None
     with pytest.raises(ValueError):

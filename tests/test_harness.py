@@ -31,11 +31,18 @@ def test_resolve_tau():
     assert harness.resolve_tau(ps, value=2.5) == 2.5
     with pytest.raises(ValueError):
         harness.resolve_tau(ps, value=-1.0)
-    with pytest.raises(ValueError):
-        harness.resolve_tau(ps, mode="5x-median")
     single = model.build_distance_matrix([[0.0, 0.0]])
     with pytest.raises(ValueError):
         harness.resolve_tau(single)
+
+
+def test_resolve_tau_rejects_colocated_points():
+    # 10 RRHs in 5 co-located pairs: every nearest-neighbour distance is 0.
+    pairs = [[float(i), 0.0] for i in range(5)]
+    ps = model.build_distance_matrix(pairs + pairs)
+    with pytest.raises(ValueError, match="3x-mean-nn.*absolute tau"):
+        harness.resolve_tau(ps)
+    assert harness.resolve_tau(ps, value=1.5) == 1.5
 
 
 def test_plan_days_alignment(rng):

@@ -12,10 +12,8 @@ def _problem(h, w=0.01):
     return model.ProblemConfig(w=w, tau=1.0, H=h)
 
 
-def test_cluster_hourly_sum_and_utility():
+def test_cluster_utility():
     t = model.TrafficDay(values=[[0.8, 0.5], [0.4, 0.6]])
-    assert objective.cluster_hourly_sum(t, {0, 1}, 0) == pytest.approx(1.2)
-    assert objective.cluster_hourly_sum(t, {1}, 1) == pytest.approx(0.6)
     # sums (1.2, 1.1) -> mean |dev| = (0.2 + 0.1) / 2
     assert objective.cluster_utility(t, {0, 1}) == pytest.approx(0.15)
     with pytest.raises(ValueError):
@@ -25,11 +23,11 @@ def test_cluster_hourly_sum_and_utility():
 def test_fitness_hand_value():
     t = model.TrafficDay(values=[[0.8, 0.5], [0.4, 0.6], [0.3, 0.3]])
     c = model.Clustering(labels=[1, 1, 2])
-    fv = objective.fitness(c, t, _problem(2, w=0.1))
+    f, K, u_mean = objective.fitness_parts(c.labels, t.values, 0.1)
     # cluster 1 sums (1.2, 1.1) -> U = 0.15; cluster 2 sums (0.3, 0.3) -> U = 0.7
-    assert fv.K == 2
-    assert fv.u_mean == pytest.approx(0.425)
-    assert fv.f == pytest.approx(0.1 * 2 + 0.425)
+    assert K == 2
+    assert u_mean == pytest.approx(0.425)
+    assert f == pytest.approx(0.1 * 2 + 0.425)
 
 
 def test_fitness_matches_pure_oracle(rng):
@@ -38,12 +36,11 @@ def test_fitness_matches_pure_oracle(rng):
         h = int(rng.integers(1, 6))
         values = rng.random((n, h))
         c = random_clustering(rng, n)
-        t = model.TrafficDay(values=values)
-        fv = objective.fitness(c, t, _problem(h, w=0.3))
+        got_f, got_k, got_u = objective.fitness_parts(c.labels, values, 0.3)
         f, k, u = pure_fitness(c.labels.tolist(), values.tolist(), 0.3)
-        assert fv.K == k
-        assert fv.f == pytest.approx(f, abs=1e-12)
-        assert fv.u_mean == pytest.approx(u, abs=1e-12)
+        assert got_k == k
+        assert got_f == pytest.approx(f, abs=1e-12)
+        assert got_u == pytest.approx(u, abs=1e-12)
 
 
 def test_metrics_matches_pure_oracle(rng):
@@ -75,10 +72,10 @@ def test_shape_errors():
     t = model.TrafficDay(values=[[0.5, 0.5]])
     c = model.Clustering(labels=[1, 2])
     with pytest.raises(ValueError):
-        objective.fitness(c, t, _problem(2))
+        objective.metrics(c, t, _problem(2))
     c1 = model.Clustering(labels=[1])
     with pytest.raises(ValueError):
-        objective.fitness(c1, t, _problem(3))
+        objective.metrics(c1, t, _problem(3))
 
 
 def test_peak_hours_tie_break():

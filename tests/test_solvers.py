@@ -27,7 +27,7 @@ def test_ea_config_validation():
 
 def test_initial_pop_feasible_and_complete(rng):
     ps = _random_geometry(rng, 25)
-    pop = solvers.initial_pop(ps, tau=3.0, popsize=12, rng=rng)
+    pop = solvers.initial_pop(model.within_tau(ps, 3.0), popsize=12, rng=rng)
     assert len(pop) == 12
     for ind in pop:
         assert ind.n_points == 25
@@ -36,22 +36,23 @@ def test_initial_pop_feasible_and_complete(rng):
 
 def test_initial_pop_far_points_all_singletons(rng):
     ps = _points([0, 100, 200, 300])
-    pop = solvers.initial_pop(ps, tau=1.0, popsize=5, rng=rng)
+    pop = solvers.initial_pop(model.within_tau(ps, 1.0), popsize=5, rng=rng)
     for ind in pop:
         assert ind.K == 4
 
 
 def test_initial_pop_deterministic():
     ps = _points([0, 1, 2, 3, 10, 11])
-    a = solvers.initial_pop(ps, 2.0, 8, np.random.default_rng(7))
-    b = solvers.initial_pop(ps, 2.0, 8, np.random.default_rng(7))
+    adj = model.within_tau(ps, 2.0)
+    a = solvers.initial_pop(adj, 8, np.random.default_rng(7))
+    b = solvers.initial_pop(adj, 8, np.random.default_rng(7))
     assert all(x.labels.tolist() == y.labels.tolist() for x, y in zip(a, b))
 
 
 def test_mutate_merges_two_near_singletons(rng):
     ps = _points([0, 1])
     parent = model.Clustering(labels=[1, 2])
-    child = solvers.mutate(parent, ps, tau=2.0, prob=1.0, rng=rng)
+    child = solvers.mutate(parent, model.within_tau(ps, 2.0), prob=1.0, rng=rng)
     assert child.K == 1
 
 
@@ -59,7 +60,7 @@ def test_mutate_no_neighbors_is_noop(rng):
     ps = _points([0, 100, 200])
     parent = model.Clustering(labels=[1, 2, 3])
     for _ in range(10):
-        child = solvers.mutate(parent, ps, tau=1.0, prob=0.5, rng=rng)
+        child = solvers.mutate(parent, model.within_tau(ps, 1.0), prob=0.5, rng=rng)
         assert child.labels.tolist() == [1, 2, 3]
 
 
@@ -68,7 +69,7 @@ def test_mutate_escapes_single_cluster(rng):
     # selected point is pulled out into a singleton.
     ps = _points([0, 1])
     parent = model.Clustering(labels=[1, 1])
-    child = solvers.mutate(parent, ps, tau=5.0, prob=0.3, rng=rng)
+    child = solvers.mutate(parent, model.within_tau(ps, 5.0), prob=0.3, rng=rng)
     assert child.K == 2
 
 
@@ -76,10 +77,11 @@ def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
     for trial in range(30):
         ps = _random_geometry(rng, 15, box=6.0)
         tau = 2.5
-        pop = solvers.initial_pop(ps, tau, 1, rng)
+        adj = model.within_tau(ps, tau)
+        pop = solvers.initial_pop(adj, 1, rng)
         lab = pop[0]
         for _ in range(60):
-            lab = solvers.mutate(lab, ps, tau, prob=0.5, rng=rng)
+            lab = solvers.mutate(lab, adj, prob=0.5, rng=rng)
             # Clustering construction enforces 1..K contiguity (no empties).
             assert model.is_feasible(lab, ps, tau)
 
@@ -96,7 +98,7 @@ def test_split_population_examples(rng):
 
 def test_split_preserves_feasibility(rng):
     ps = _random_geometry(rng, 20, box=5.0)
-    pop = solvers.initial_pop(ps, 3.0, 10, rng)
+    pop = solvers.initial_pop(model.within_tau(ps, 3.0), 10, rng)
     for ind in solvers.split_population(pop, rng):
         assert model.is_feasible(ind, ps, 3.0)
         assert ind.n_points == 20
@@ -123,8 +125,8 @@ def test_run_ea_invariants(rng):
             assert r.trace[-1] == pytest.approx(r.best_fitness.f)
             assert model.is_feasible(r.best, ps, 2.5)
             # cached fitness matches re-evaluation
-            fv = objective.fitness(r.best, traffic[day], problem)
-            assert fv.f == pytest.approx(r.best_fitness.f, abs=1e-12)
+            rep = objective.metrics(r.best, traffic[day], problem)
+            assert rep.f == pytest.approx(r.best_fitness.f, abs=1e-12)
 
 
 def test_run_ea_deterministic(rng):
