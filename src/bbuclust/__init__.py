@@ -2,7 +2,7 @@
 
 from .model import (Clustering, PointSet, ProblemConfig, TrafficDay,
                     build_distance_matrix, haversine_meters, is_feasible,
-                    members, normalize_labels, within_tau)
+                    within_tau)
 from .objective import (FitnessValue, LegacyScore, MetricsReport, cluster_utility,
                         legacy_mean_m, legacy_score, metrics, peak_hours)
 from .forecast import (ForecastError, forecast_error, make_forecaster,
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Clustering", "PointSet", "ProblemConfig", "TrafficDay",
-    "build_distance_matrix", "haversine_meters", "is_feasible", "members",
-    "normalize_labels", "within_tau",
+    "build_distance_matrix", "haversine_meters", "is_feasible", "within_tau",
     "FitnessValue", "LegacyScore", "MetricsReport", "cluster_utility",
     "legacy_mean_m", "legacy_score", "metrics", "peak_hours",
     "ForecastError", "forecast_error", "make_forecaster", "oracle_predict",

@@ -25,9 +25,6 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prob", type=float, default=0.5)
     p.add_argument("--budget", type=int, default=1500)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--score-on-predicted", action="store_true",
-                   help="score on forecast traffic instead of the served day's actual traffic")
-    p.add_argument("--allow-unequal-budgets", action="store_true")
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -39,9 +36,7 @@ def _build_spec(args) -> harness.ExperimentSpec:
     return harness.ExperimentSpec(
         dataset=ds, algorithms=tuple(algs), runs=args.runs, base_seed=args.seed,
         w=args.w, tau=args.tau, forecaster=args.forecaster,
-        alpha=args.alpha, workers=args.workers,
-        score_on_predicted=args.score_on_predicted,
-        allow_unequal_budgets=args.allow_unequal_budgets)
+        alpha=args.alpha, workers=args.workers)
 
 
 def _write_table(table: harness.ResultTable, out: Path) -> None:

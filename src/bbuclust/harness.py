@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -101,8 +102,6 @@ class ExperimentSpec:
     forecaster: str = "oracle"
     alpha: float = 0.05
     workers: int = 1
-    score_on_predicted: bool = False
-    allow_unequal_budgets: bool = False
 
 
 @dataclass(frozen=True)
@@ -224,23 +223,28 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names: {names}")
     budgets = {a.name: a.budget_per_day() for a in spec.algorithms}
-    if len(set(budgets.values())) > 1 and not spec.allow_unequal_budgets:
+    if len(set(budgets.values())) > 1:
         raise ValueError(f"per-day evaluation budgets differ: {budgets}; "
-                         f"set allow_unequal_budgets to compare anyway")
+                         f"set the greedy budget to popsize x maxgen")
 
     tau = resolve_tau(ds.point_set, spec.tau)
     problem = ProblemConfig(w=spec.w, tau=tau, H=ds.manifest.hours)
     served, opt_traffic = _plan_days(ds.traffic, spec.forecaster)
-    score_traffic = opt_traffic if spec.score_on_predicted else [ds.traffic[s] for s in served]
+    score_traffic = [ds.traffic[s] for s in served]
 
+    # Run-major, so that each worker's chunk mixes the algorithms evenly.
     tasks = [(alg, run, run_seed(spec.base_seed, alg.name, run), ds.point_set,
               opt_traffic, score_traffic, served, problem)
-             for alg in spec.algorithms for run in range(spec.runs)]
+             for run in range(spec.runs) for alg in spec.algorithms]
     if spec.workers > 1:
+        # One chunk per worker: each chunk is pickled once, so the point set
+        # (with its N x N matrix) it shares is sent once per chunk, not per task.
         with ProcessPoolExecutor(max_workers=spec.workers) as ex:
-            records = tuple(ex.map(_run_single, tasks))
+            records = list(ex.map(_run_single, tasks,
+                                  chunksize=math.ceil(len(tasks) / spec.workers)))
     else:
-        records = tuple(_run_single(t) for t in tasks)
+        records = [_run_single(t) for t in tasks]
+    records = tuple(sorted(records, key=lambda r: (names.index(r.algorithm), r.run)))
     table = aggregate(records, alpha=spec.alpha)
     return ExperimentResult(spec=spec, tau=tau, records=records, table=table)
 

@@ -27,11 +27,6 @@ class PointSet:
     def n_points(self) -> int:
         return self.positions.shape[0]
 
-    def recompute_matches(self, rtol: float = 1e-9) -> bool:
-        """Check that ``dist`` agrees with a fresh computation from positions."""
-        fresh = _distance_matrix(self.positions, self.metric)
-        return bool(np.allclose(self.dist, fresh, rtol=rtol, atol=0.0))
-
 
 @dataclass(frozen=True)
 class TrafficDay:
@@ -166,11 +161,6 @@ def is_feasible(clustering: Clustering, point_set: PointSet, tau: float) -> bool
     return bool(within_tau(point_set, tau)[same].all())
 
 
-def normalize_labels(clustering: Clustering) -> Clustering:
-    """Relabel clusters to 1..K preserving order of first appearance."""
-    return Clustering(labels=renumber(clustering.labels))
-
-
 def renumber(labels: np.ndarray) -> np.ndarray:
     """Map an arbitrary positive label vector onto contiguous 1..K.
 
@@ -181,10 +171,3 @@ def renumber(labels: np.ndarray) -> np.ndarray:
     rank = np.empty(uniq.size, dtype=np.int64)
     rank[np.argsort(first_idx, kind="stable")] = np.arange(1, uniq.size + 1)
     return rank[inv]
-
-
-def members(clustering: Clustering, k: int) -> set[int]:
-    """The set of point indices carrying label k."""
-    if not (1 <= k <= clustering.K):
-        raise ValueError(f"cluster {k} out of range 1..{clustering.K}")
-    return set(int(i) for i in np.flatnonzero(clustering.labels == k))

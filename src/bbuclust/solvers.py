@@ -8,7 +8,7 @@ public surface wraps them in :class:`~bbuclust.model.Clustering`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,13 +17,18 @@ from .objective import FitnessValue, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
 
-# Called with each newly constructed label array (feasibility instrumentation).
+# Called with each label array a solver scores (feasibility instrumentation).
+# Every array a solver builds is scored, so the hook sees all of them; an
+# array scored again (a carried-over population, greedy's "stay") is seen again.
 AuditHook = Callable[[np.ndarray], None]
 
-# A solver's day-by-day search: given the tau mask and each day's (N, H)
-# traffic, it yields per day the labels to deploy, the search trace and the
-# evaluations charged.
-DaySearch = Callable[[np.ndarray, list[np.ndarray]],
+# Scores one label array on one day's (N, H) traffic and returns its f.
+Scorer = Callable[[np.ndarray, np.ndarray], float]
+
+# A solver's day-by-day search: given the tau mask, each day's (N, H)
+# traffic and the scorer, it yields per day the labels to deploy, the search
+# trace and the evaluations charged.
+DaySearch = Callable[[np.ndarray, list[np.ndarray], Scorer],
                      Iterator[tuple[np.ndarray, list[float], int]]]
 
 
@@ -59,6 +64,32 @@ class DayResult:
     evals_used: int
 
 
+def _grow(labels: np.ndarray, adj: np.ndarray, seed: int, picked: Iterable[int],
+          k: int) -> None:
+    """Pairwise repair: give seed label k, then each picked point within tau of all added."""
+    labels[seed] = k
+    added = [seed]
+    for c in picked:
+        c = int(c)
+        if adj[c, added].all():
+            labels[c] = k
+            added.append(c)
+
+
+def _joinable(labels: np.ndarray, adj: np.ndarray, x: int, K: int) -> np.ndarray:
+    """Clusters other than x's whose every member lies within tau of x."""
+    outside = np.bincount(labels[~adj[x]], minlength=K + 1)
+    full = np.flatnonzero(outside[1:] == 0) + 1
+    return full[full != labels[x]]
+
+
+def _move(labels: np.ndarray, x: int, k: int) -> np.ndarray:
+    """A renumbered copy of labels with point x moved to cluster k."""
+    new = labels.copy()
+    new[x] = k
+    return renumber(new)
+
+
 def _initial_labels(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Grow random feasible clusters until every point is assigned."""
     n = adj.shape[0]
@@ -70,20 +101,10 @@ def _initial_labels(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             return labels
         r = int(pool[rng.integers(pool.size)])
         k += 1
-        labels[r] = k
         close = pool[adj[r, pool] & (pool != r)]
-        if close.size == 0:
-            continue
-        num = int(rng.integers(0, close.size + 1))
-        if num == 0:
-            continue
-        picked = rng.choice(close, size=num, replace=False)
-        added = [r]
-        for c in picked:
-            c = int(c)
-            if adj[c, added].all():
-                labels[c] = k
-                added.append(c)
+        num = int(rng.integers(0, close.size + 1)) if close.size else 0
+        picked = rng.choice(close, size=num, replace=False) if num else ()
+        _grow(labels, adj, r, picked, k)
 
 
 def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,
@@ -100,15 +121,9 @@ def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,
         x = int(rng.integers(n))
     kx = int(labels[x])
 
-    # Clusters other than x's whose every member lies within tau of x.
-    outside = np.bincount(labels[~adj[x]], minlength=K + 1)
-    full = np.flatnonzero(outside[1:] == 0) + 1
-    mut_clusters = full[full != kx]
+    mut_clusters = _joinable(labels, adj, x, K)
     if mut_clusters.size:
-        target = int(mut_clusters[rng.integers(mut_clusters.size)])
-        new = labels.copy()
-        new[x] = target
-        return renumber(new)
+        return _move(labels, x, int(mut_clusters[rng.integers(mut_clusters.size)]))
 
     # Otherwise: clusters with at least one member within tau of x.
     near = np.bincount(labels[adj[x]], minlength=K + 1)
@@ -118,22 +133,13 @@ def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,
         # Nothing reachable: x ends up isolated (a no-op if it already was).
         if counts[kx] == 1:
             return labels.copy()
-        new = labels.copy()
-        new[x] = K + 1
-        return renumber(new)
+        return _move(labels, x, K + 1)
 
     c = int(adjacent[rng.integers(adjacent.size)])
     cand = np.flatnonzero((labels == c) & adj[x])
     num = int(rng.integers(1, cand.size + 1))
-    picked = rng.choice(cand, size=num, replace=False)
     new = labels.copy()
-    new[x] = K + 1
-    added = [x]
-    for p in picked:
-        p = int(p)
-        if adj[p, added].all():
-            new[p] = K + 1
-            added.append(p)
+    _grow(new, adj, x, rng.choice(cand, size=num, replace=False), K + 1)
     return renumber(new)
 
 
@@ -176,12 +182,15 @@ def split_population(population: Sequence[Clustering],
 
 
 def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
-                problem: ProblemConfig, search: DaySearch) -> list[DayResult]:
+                problem: ProblemConfig, search: DaySearch,
+                audit: AuditHook | None) -> list[DayResult]:
     """The day driver both solvers share.
 
     Checks the traffic against the point set and ``problem.H``, builds the
-    tau mask once, runs ``search`` over the days and re-scores each day's
-    deployed labels (an uncharged evaluation) into a :class:`DayResult`.
+    tau mask once, runs ``search`` over the days with the one scorer every
+    candidate passes through (it calls ``audit`` first, when set) and
+    re-scores each day's deployed labels (an uncharged evaluation) into a
+    :class:`DayResult`.
     """
     if len(traffic_by_day) == 0:
         raise ValueError("traffic_by_day is empty")
@@ -191,7 +200,13 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
         if t.n_hours != problem.H:
             raise ValueError(f"traffic has {t.n_hours} hours but config.H = {problem.H}")
     values_by_day = [t.values for t in traffic_by_day]
-    days = search(within_tau(point_set, problem.tau), values_by_day)
+
+    def score(labels: np.ndarray, values: np.ndarray) -> float:
+        if audit is not None:
+            audit(labels)
+        return fitness_parts(labels, values, problem.w)[0]
+
+    days = search(within_tau(point_set, problem.tau), values_by_day, score)
     results: list[DayResult] = []
     for d, (values, (labels, trace, evals)) in enumerate(zip(values_by_day, days)):
         f, K, u_mean = fitness_parts(labels, values, problem.w)
@@ -218,13 +233,10 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
     """
-    def search(adj, values_by_day):
+    def search(adj, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
         pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
-        if audit is not None:
-            for lab in pop:
-                audit(lab)
 
         for d, values in enumerate(values_by_day):
             if d:
@@ -234,11 +246,8 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 elif config.variant == "rand":
                     pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
-                if audit is not None and config.variant != "copy":
-                    for lab in pop:
-                        audit(lab)
             rng = np.random.default_rng(seeds[d + 1])
-            fits = np.array([fitness_parts(lab, values, problem.w)[0] for lab in pop])
+            fits = np.array([score(lab, values) for lab in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
@@ -247,11 +256,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
 
             for _ in range(config.maxgen):
                 offspring = [_mutate_labels(lab, adj, config.prob, rng) for lab in pop]
-                if audit is not None:
-                    for lab in offspring:
-                        audit(lab)
-                off_fits = np.array([fitness_parts(lab, values, problem.w)[0]
-                                     for lab in offspring])
+                off_fits = np.array([score(lab, values) for lab in offspring])
                 evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])
@@ -261,7 +266,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 trace.append(float(fits[0]))
             yield pop[0], trace, evals
 
-    return _solve_days(point_set, traffic_by_day, problem, search)
+    return _solve_days(point_set, traffic_by_day, problem, search, audit)
 
 
 def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget: int,
@@ -286,35 +291,26 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     n = point_set.n_points
 
-    def search(adj, values_by_day):
+    def search(adj, values_by_day, score):
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
-            if audit is not None:
-                audit(labels)
-            cur_f = fitness_parts(labels, values, problem.w)[0]
+            cur_f = score(labels, values)
             trace = [cur_f]
             checkpoint = checkpoint_every
             evals = 0
             while evals < budget:
                 x = int(rng.integers(n))
-                kx = int(labels[x])
-                K = int(labels.max())
-                outside = np.bincount(labels[~adj[x]], minlength=K + 1)
-                full = np.flatnonzero(outside[1:] == 0) + 1
+                targets = _joinable(labels, adj, x, int(labels.max()))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
-                best_f = fitness_parts(labels, values, problem.w)[0]
+                best_f = score(labels, values)
                 best_labels = labels
                 evals += 1
-                for t_label in full[full != kx]:
+                for t_label in targets:
                     if evals >= budget:
                         break
-                    moved = labels.copy()
-                    moved[x] = t_label
-                    cand = renumber(moved)
-                    if audit is not None:
-                        audit(cand)
-                    f = fitness_parts(cand, values, problem.w)[0]
+                    cand = _move(labels, x, t_label)
+                    f = score(cand, values)
                     evals += 1
                     if f < best_f:
                         best_f, best_labels = f, cand
@@ -330,4 +326,4 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                     checkpoint += checkpoint_every
             yield labels, trace, evals
 
-    return _solve_days(point_set, traffic_by_day, problem, search)
+    return _solve_days(point_set, traffic_by_day, problem, search, audit)

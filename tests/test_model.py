@@ -19,7 +19,6 @@ def test_haversine_matrix_properties():
     assert np.allclose(ps.dist, ps.dist.T)
     assert np.all(np.diag(ps.dist) == 0.0)
     assert ps.dist[0, 1] == pytest.approx(779.9301161647776, abs=1e-6)
-    assert ps.recompute_matches()
 
 
 def test_euclidean_matrix():
@@ -27,7 +26,6 @@ def test_euclidean_matrix():
     assert ps.dist[0, 1] == pytest.approx(5.0)
     assert ps.dist[0, 2] == pytest.approx(1.0)
     assert ps.n_points == 3
-    assert ps.recompute_matches()
 
 
 def test_build_distance_matrix_errors():
@@ -88,23 +86,8 @@ def test_is_feasible(line_points):
         model.is_feasible(model.Clustering(labels=[1, 2]), line_points, tau=2.0)
 
 
-def test_normalize_labels_stable():
-    c = model.Clustering(labels=[3, 3, 1, 2])
-    norm = model.normalize_labels(c)
-    # order of first appearance: 3 -> 1, 1 -> 2, 2 -> 3
-    assert norm.labels.tolist() == [1, 1, 2, 3]
-
-
 def test_renumber():
     assert model.renumber(np.array([5, 5, 9, 5, 2])).tolist() == [1, 1, 2, 1, 3]
-
-
-def test_members(line_points):
-    c = model.Clustering(labels=[1, 2, 1, 2, 3])
-    assert model.members(c, 1) == {0, 2}
-    assert model.members(c, 3) == {4}
-    with pytest.raises(ValueError):
-        model.members(c, 4)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=40))

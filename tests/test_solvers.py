@@ -167,6 +167,29 @@ def test_run_ea_audit_counts_and_feasibility(rng):
         assert model.is_feasible(model.Clustering(labels=lab), ps, 2.0)
 
 
+@pytest.mark.parametrize("solver", solvers.VARIANTS + ("greedy",))
+def test_audit_sees_every_scored_label_array(rng, monkeypatch, solver):
+    ps = _random_geometry(rng, 10, box=4.0)
+    traffic = _traffic_days(rng, 10, 3)
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=6)
+    calls = []
+
+    def counting_fitness_parts(labels, values, w):
+        calls.append(labels)
+        return objective.fitness_parts(labels, values, w)
+
+    monkeypatch.setattr(solvers, "fitness_parts", counting_fitness_parts)
+    seen = []
+    if solver == "greedy":
+        solvers.run_greedy(ps, traffic, 60, problem, np.random.default_rng(3),
+                           audit=seen.append)
+    else:
+        cfg = solvers.EaConfig(popsize=4, maxgen=10, variant=solver, seed=5)
+        solvers.run_ea(ps, traffic, cfg, problem, audit=seen.append)
+    # Every fitness call but the driver's uncharged per-day re-score is audited.
+    assert len(seen) == len(calls) - len(traffic)
+
+
 def test_run_greedy_invariants(rng):
     ps = _random_geometry(rng, 15, box=5.0)
     traffic = _traffic_days(rng, 15, 2)
