@@ -1,0 +1,66 @@
+"""Regression: the exact stream of candidates each solver scores.
+
+Every label array a solver passes to its ``audit`` hook (each initial
+individual, each offspring, each greedy move and "stay") is fed, in order,
+into one sha256, followed by the per-day search traces. The constants below
+were produced by an earlier version of the package, so any change to a
+solver trajectory, to an RNG draw, to the initial population or to the
+relabelling of a candidate shows up as a different digest.
+
+Print the digests of the current code with:
+
+    PYTHONPATH=src python tests/test_candidate_stream.py
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from bbuclust import datasets, harness, model, solvers
+
+DIGESTS = {
+    ("1a", "split"): "0f5f23482e52857cd447dce3d2ae4ed3ba9ca10c0c68468b6536d85a5cab3997",
+    ("1a", "copy"): "74e8ff38d878673b89b52243abd6d14c25757f7c5a1d6d2812de7429f6844383",
+    ("1a", "rand"): "9fe956325d60de8f5d148c914366325f4cf58b9c192cdc3cb264c7f12864f15e",
+    ("1a", "greedy"): "44358d0c5a3f5649ff4830d21a3d1d770b24b477cc20b75cf267d9dd21783aa6",
+    ("2b", "split"): "985bbe1c460a5eb2bc5bd663682f706ff4e0534a357e18edd6889f8f97d6a70d",
+    ("2b", "copy"): "89477db5a33567f8d6dcab89e925de65dcd3fb64c9df3d5844d4c107b768fd0d",
+    ("2b", "rand"): "b7d3faf65733509a738b50315c8c248fb4b4e25a2882ed10f940980520c1cef4",
+    ("2b", "greedy"): "2f2880eb2d23aea13d895334372a33d60f2d6fea0f4bd3b35bcd4643f1c786f9",
+}
+
+
+def _instance(kind):
+    if kind == "1a":
+        return datasets.make_dataset("1a", seed=11, n_days=2, n_points=150)
+    return datasets.make_dataset("2b", seed=12, n_days=2, n_groups=15)
+
+
+def _digest(kind, solver):
+    ds = _instance(kind)
+    ps = ds.point_set
+    problem = model.ProblemConfig(w=0.01, tau=harness.resolve_tau(ps), H=ds.manifest.hours)
+    h = hashlib.sha256()
+
+    def audit(labels):
+        h.update(np.ascontiguousarray(labels, dtype="<i8").tobytes())
+
+    if solver == "greedy":
+        results = solvers.run_greedy(ps, ds.traffic, 300, problem, np.random.default_rng(21),
+                                     checkpoint_every=10, audit=audit)
+    else:
+        cfg = solvers.EaConfig(popsize=10, maxgen=30, variant=solver, seed=21)
+        results = solvers.run_ea(ps, ds.traffic, cfg, problem, audit=audit)
+    for r in results:
+        h.update(np.asarray(r.trace, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, solver", sorted(DIGESTS))
+def test_candidate_stream_digest(kind, solver):
+    assert _digest(kind, solver) == DIGESTS[kind, solver]
+
+
+if __name__ == "__main__":
+    for key in DIGESTS:
+        print(f"    {key!r}: \"{_digest(*key)}\",")
