@@ -172,9 +172,14 @@ def resolve_tau(point_set: PointSet, value: float | None = None) -> float:
         return float(value)
     if point_set.n_points < 2:
         raise ValueError("3x-mean-nn needs at least 2 points; pass an absolute tau")
-    d = point_set.dist.copy()
-    np.fill_diagonal(d, np.inf)
-    tau = 3.0 * float(d.min(axis=1).mean())
+    # Row minima off the diagonal, one block of rows at a time, so that the
+    # scratch copy is 256 rows rather than the whole N x N matrix.
+    nn = np.empty(point_set.n_points)
+    for lo in range(0, point_set.n_points, 256):
+        blk = point_set.dist[lo:lo + 256].copy()
+        np.fill_diagonal(blk[:, lo:], np.inf)
+        nn[lo:lo + 256] = blk.min(axis=1)
+    tau = 3.0 * float(nn.mean())
     if tau == 0.0:
         raise ValueError("3x-mean-nn gives tau = 0: every point shares its position with "
                          "another; pass an absolute tau")

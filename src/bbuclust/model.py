@@ -162,12 +162,22 @@ def is_feasible(clustering: Clustering, point_set: PointSet, tau: float) -> bool
 
 
 def renumber(labels: np.ndarray) -> np.ndarray:
-    """Map an arbitrary positive label vector onto contiguous 1..K.
+    """Map a positive label vector onto contiguous 1..K.
 
-    Order of first appearance is preserved so relabelling is stable.
+    Order of first appearance is preserved so relabelling is stable. Runs in
+    O(N + max label) time without sorting; its scratch memory is O(max
+    label), which is at most N for every label array the solvers build.
+    Raises ``ValueError`` for a label below 1.
     """
     lab = np.asarray(labels, dtype=np.int64)
-    uniq, first_idx, inv = np.unique(lab, return_index=True, return_inverse=True)
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first_idx, kind="stable")] = np.arange(1, uniq.size + 1)
-    return rank[inv]
+    if lab.size == 0:
+        return lab.copy()
+    if lab.min() < 1:
+        raise ValueError("cluster labels start at 1")
+    pos = np.arange(lab.size)
+    first = np.full(int(lab.max()) + 1, lab.size, dtype=np.int64)
+    np.minimum.at(first, lab, pos)
+    order = lab[first[lab] == pos]  # each label once, in first-appearance order
+    rank = np.empty_like(first)
+    rank[order] = np.arange(1, order.size + 1)
+    return rank[lab]

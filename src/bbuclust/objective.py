@@ -61,7 +61,8 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float) -> tuple[flo
     """Fast-path fitness on raw arrays: returns (f, K, mean utility)."""
     sums = cluster_sums(labels, values)
     K, H = sums.shape
-    u_mean = float(np.abs(sums - 1.0).sum() / (K * H))
+    sums -= 1.0
+    u_mean = float(np.abs(sums, out=sums).sum() / (K * H))
     return w * K + u_mean, K, u_mean
 
 

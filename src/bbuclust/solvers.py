@@ -70,8 +70,8 @@ def _grow(labels: np.ndarray, adj: np.ndarray, seed: int, picked: Iterable[int],
     labels[seed] = k
     added = [seed]
     for c in picked:
-        c = int(c)
-        if adj[c, added].all():
+        row = adj[c]
+        if all(row[a] for a in added):
             labels[c] = k
             added.append(c)
 
@@ -94,17 +94,20 @@ def _initial_labels(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Grow random feasible clusters until every point is assigned."""
     n = adj.shape[0]
     labels = np.zeros(n, dtype=np.int64)
+    pool = np.arange(n)  # the unassigned points, ascending
     k = 0
-    while True:
-        pool = np.flatnonzero(labels == 0)
-        if pool.size == 0:
-            return labels
-        r = int(pool[rng.integers(pool.size)])
+    while pool.size:
+        i = rng.integers(pool.size)
+        r = int(pool[i])
         k += 1
-        close = pool[adj[r, pool] & (pool != r)]
+        near = adj[r, pool]
+        near[i] = False  # r itself
+        close = pool[near]
         num = int(rng.integers(0, close.size + 1)) if close.size else 0
         picked = rng.choice(close, size=num, replace=False) if num else ()
         _grow(labels, adj, r, picked, k)
+        pool = pool[labels[pool] == 0]
+    return labels
 
 
 def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,

@@ -24,6 +24,15 @@ def pure_fitness(labels, values, w):
     return w * K + u_mean, K, u_mean
 
 
+def pure_renumber(labels):
+    """Reference relabelling onto 1..K in order of first appearance."""
+    rank = {}
+    for lab in labels:
+        if lab not in rank:
+            rank[lab] = len(rank) + 1
+    return [rank[lab] for lab in labels]
+
+
 def pure_metrics(labels, values, w):
     """Reference (K, U, Udelay, Uunder1, f)."""
     K = max(labels)

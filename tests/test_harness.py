@@ -36,6 +36,19 @@ def test_resolve_tau():
         harness.resolve_tau(single)
 
 
+def test_resolve_tau_blocks_match_dense_reference(rng):
+    # Sizes on both sides of a 256-row block edge; the last case puts
+    # co-located twins in different blocks.
+    for n in (2, 255, 256, 257, 600):
+        pos = rng.uniform(0.0, 50.0, size=(n, 2))
+        if n == 600:
+            pos[400] = pos[3]
+        ps = model.build_distance_matrix(pos)
+        d = ps.dist.copy()
+        np.fill_diagonal(d, np.inf)
+        assert harness.resolve_tau(ps) == 3.0 * float(d.min(axis=1).mean())
+
+
 def test_resolve_tau_rejects_colocated_points():
     # 10 RRHs in 5 co-located pairs: every nearest-neighbour distance is 0.
     pairs = [[float(i), 0.0] for i in range(5)]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bbuclust import model
+from _oracles import pure_renumber
 
 
 def test_haversine_frozen_values():
@@ -100,3 +101,20 @@ def test_renumber_is_contiguous_and_preserves_partition(raw):
     for i in range(len(raw)):
         for j in range(len(raw)):
             assert (labels[i] == labels[j]) == (out[i] == out[j])
+
+
+@given(st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=60),
+       st.integers(min_value=1, max_value=4))
+def test_renumber_matches_first_appearance_oracle(raw, repeat):
+    # Labels with gaps, each repeated, then the canonical result fed back in.
+    labels = np.array(raw * repeat, dtype=np.int64)
+    out = model.renumber(labels)
+    assert out.dtype == np.int64
+    assert out.tolist() == pure_renumber(labels.tolist())
+    assert model.renumber(out).tolist() == out.tolist()
+
+
+def test_renumber_rejects_labels_below_one():
+    for bad in ([0, 1, 2], [3, -1], [-5]):
+        with pytest.raises(ValueError, match="start at 1"):
+            model.renumber(np.array(bad))

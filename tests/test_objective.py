@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bbuclust import model, objective
 from conftest import random_clustering
@@ -41,6 +42,20 @@ def test_fitness_matches_pure_oracle(rng):
         assert got_k == k
         assert got_f == pytest.approx(f, abs=1e-12)
         assert got_u == pytest.approx(u, abs=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=24),
+       st.floats(min_value=0.001, max_value=1.0), st.data())
+def test_fitness_parts_bit_exact(n, h, w, data):
+    raw = data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=n, max_size=n))
+    flat = data.draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n * h,
+                              max_size=n * h))
+    labels = model.renumber(np.array(raw))
+    values = np.array(flat).reshape(n, h)
+    sums = objective.cluster_sums(labels, values)
+    K, H = sums.shape
+    u = float(np.abs(sums - 1.0).sum() / (K * H))
+    assert objective.fitness_parts(labels, values, w) == (w * K + u, K, u)
 
 
 def test_metrics_matches_pure_oracle(rng):
