@@ -12,6 +12,7 @@ Print the digests of the current code with:
     PYTHONPATH=src python tests/test_candidate_stream.py
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -27,18 +28,38 @@ DIGESTS = {
     ("2b", "copy"): "89477db5a33567f8d6dcab89e925de65dcd3fb64c9df3d5844d4c107b768fd0d",
     ("2b", "rand"): "b7d3faf65733509a738b50315c8c248fb4b4e25a2882ed10f940980520c1cef4",
     ("2b", "greedy"): "2f2880eb2d23aea13d895334372a33d60f2d6fea0f4bd3b35bcd4643f1c786f9",
+    ("milan-hav", "split"): "eac04cae221086acd644adb300f29867f3a845e3fc93d7c0c9e5de13225f4027",
+    ("milan-hav", "copy"): "8ac6ed83a4a54d22008537b012ee98b8cff2209195ed2b0d752af45586b3c135",
+    ("milan-hav", "rand"): "d01de661d3c2d30f9915c730da5988bcb035aae43351e6ce64bf8c206ec82795",
+    ("milan-hav", "greedy"): "24fd5fc66c9cfad0fb40534f73f63e1385e60da6f3d503c70481c84c7bd10172",
 }
 
 
+def _milan_lonlat(xy):
+    """The generator's 100 x 100 box as a 10 km x 10 km box of (lon, lat) near Milan."""
+    metres = (xy - 50.0) * 100.0
+    per_deg_lat = 6371008.8 * math.pi / 180.0
+    lat0 = 45.4642
+    lon = 9.19 + metres[:, 0] / (per_deg_lat * math.cos(math.radians(lat0)))
+    lat = lat0 + metres[:, 1] / per_deg_lat
+    return np.column_stack([lon, lat])
+
+
 def _instance(kind):
+    """The dataset and its point set for one pinned instance."""
     if kind == "1a":
-        return datasets.make_dataset("1a", seed=11, n_days=2, n_points=150)
-    return datasets.make_dataset("2b", seed=12, n_days=2, n_groups=15)
+        ds = datasets.make_dataset("1a", seed=11, n_days=2, n_points=150)
+    elif kind == "2b":
+        ds = datasets.make_dataset("2b", seed=12, n_days=2, n_groups=15)
+    else:
+        ds = datasets.make_dataset("1c-milan", seed=13, n_days=2, n_points=150)
+        lonlat = _milan_lonlat(ds.point_set.positions)
+        return ds, model.build_distance_matrix(lonlat, metric="haversine_meters")
+    return ds, ds.point_set
 
 
 def _digest(kind, solver):
-    ds = _instance(kind)
-    ps = ds.point_set
+    ds, ps = _instance(kind)
     problem = model.ProblemConfig(w=0.01, tau=harness.resolve_tau(ps), H=ds.manifest.hours)
     h = hashlib.sha256()
 
