@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .forecast import make_forecaster
-from .model import Clustering, PointSet, ProblemConfig, TrafficDay
+from .model import Clustering, PointSet, ProblemConfig, TrafficDay, nearest_distances
 from .objective import MetricsReport, legacy_terms, metrics
 from .solvers import EaConfig, run_ea, run_greedy
 from .stats import friedman_nemenyi
@@ -172,14 +172,7 @@ def resolve_tau(point_set: PointSet, value: float | None = None) -> float:
         return float(value)
     if point_set.n_points < 2:
         raise ValueError("3x-mean-nn needs at least 2 points; pass an absolute tau")
-    # Row minima off the diagonal, one block of rows at a time, so that the
-    # scratch copy is 256 rows rather than the whole N x N matrix.
-    nn = np.empty(point_set.n_points)
-    for lo in range(0, point_set.n_points, 256):
-        blk = point_set.dist[lo:lo + 256].copy()
-        np.fill_diagonal(blk[:, lo:], np.inf)
-        nn[lo:lo + 256] = blk.min(axis=1)
-    tau = 3.0 * float(nn.mean())
+    tau = 3.0 * float(nearest_distances(point_set).mean())
     if tau == 0.0:
         raise ValueError("3x-mean-nn gives tau = 0: every point shares its position with "
                          "another; pass an absolute tau")
@@ -243,7 +236,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
              for run in range(spec.runs) for alg in spec.algorithms]
     if spec.workers > 1:
         # One chunk per worker: each chunk is pickled once, so the point set
-        # (with its N x N matrix) it shares is sent once per chunk, not per task.
+        # and traffic its tasks share are sent once per chunk, not per task.
         with ProcessPoolExecutor(max_workers=spec.workers) as ex:
             records = list(ex.map(_run_single, tasks,
                                   chunksize=math.ceil(len(tasks) / spec.workers)))

@@ -1,7 +1,9 @@
 """Core data model: points, distances, traffic, clusterings, problem config."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +14,7 @@ METRICS = ("euclidean", "haversine_meters")
 
 @dataclass(frozen=True)
 class PointSet:
-    """A set of N points with a precomputed dense N x N distance matrix.
+    """A set of N points and the metric that measures them.
 
     ``positions`` is an (N, 2) float array. For the haversine metric the
     columns are (longitude, latitude) in degrees and distances are metres;
@@ -21,7 +23,6 @@ class PointSet:
 
     positions: np.ndarray
     metric: str
-    dist: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -99,30 +100,75 @@ class ProblemConfig:
             raise ValueError(f"H must be >= 1, got {self.H}")
 
 
-def _haversine_matrix(positions: np.ndarray) -> np.ndarray:
-    lon = np.radians(positions[:, 0])
-    lat = np.radians(positions[:, 1])
-    dlat = lat[:, None] - lat[None, :]
-    dlon = lon[:, None] - lon[None, :]
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2
+def _pair_dist(pos: np.ndarray, i, j, metric: str) -> np.ndarray:
+    """Distances between points ``pos[i]`` and ``pos[j]``, for index arrays i and j.
+
+    The one distance formula. Its operations and their order must not
+    change: every tau decision, and so every golden output, rests on them.
+    """
+    if metric == "euclidean":
+        dx = pos[i, 0] - pos[j, 0]
+        dy = pos[i, 1] - pos[j, 1]
+        return np.sqrt(dx * dx + dy * dy)
+    lon = np.radians(pos[:, 0])
+    lat = np.radians(pos[:, 1])
+    cos_lat = np.cos(lat)
+    a = (np.sin((lat[i] - lat[j]) / 2.0) ** 2
+         + cos_lat[i] * cos_lat[j] * np.sin((lon[i] - lon[j]) / 2.0) ** 2)
     a = np.clip(a, 0.0, 1.0)
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
 
 
-def _distance_matrix(positions: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        diff = positions[:, None, :] - positions[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
-    elif metric == "haversine_meters":
-        d = _haversine_matrix(positions)
+def _pairs_within(point_set: PointSet, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every unordered pair at most ``radius`` apart, once, as (i, j, distance).
+
+    Candidates come from a uniform grid of cell side ``radius``, on 3-D unit
+    vectors with the chord of ``radius`` for haversine (so the antimeridian
+    and the poles need no special case): close points lie in touching cells.
+    """
+    pos = point_set.positions
+    n = pos.shape[0]
+    if point_set.metric == "haversine_meters":
+        lon, lat = np.radians(pos[:, 0]), np.radians(pos[:, 1])
+        xyz = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                               np.sin(lat)])
+        # 1e-12 covers the rounding of the unit vectors themselves.
+        side = 2.0 * math.sin(min(radius / (2.0 * EARTH_RADIUS_M), math.pi / 2)) + 1e-12
     else:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    np.fill_diagonal(d, 0.0)
-    return d
+        xyz, side = pos, radius
+    lo = xyz.min(axis=0)
+    extent = float((xyz.max(axis=0) - lo).max())
+    # The relative slack lets rounding only add candidates (_pair_dist decides
+    # each pair); at most 2**20 cells per axis keep 3-D keys within int64; a
+    # zero side means that every point coincides.
+    side = max(side * (1.0 + 1e-6), extent / 2 ** 20) or 1.0
+    cell = ((xyz - lo) // side).astype(np.int64) + 1  # one empty cell of padding
+    dims = cell.max(axis=0) + 2
+    strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]  # row-major
+    key = cell @ strides
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dims.size))) @ strides
+    # Each pair once: the points after this one in its own cell (offset 0
+    # comes first), then all points of the touching cells with larger keys.
+    near = (key + offsets[offsets >= 0][:, None]).ravel()
+    stop = np.searchsorted(key, near, "right")
+    start = np.searchsorted(key, near, "left")
+    start[:n] = np.arange(1, n + 1)
+    count = stop - start
+    src = np.repeat(np.tile(np.arange(n), count.size // n), count)
+    dst = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(src.size)
+    i, j = order[src], order[dst]
+    d = _pair_dist(pos, i, j, point_set.metric)
+    close = d <= radius
+    return i[close], j[close], d[close]
 
 
 def build_distance_matrix(positions, metric: str = "euclidean") -> PointSet:
-    """Build a :class:`PointSet` with its dense distance matrix.
+    """Validate positions and a metric into a :class:`PointSet`.
+
+    No distance is computed here: :func:`within_tau` and
+    :func:`nearest_distances` measure only the pairs they need.
 
     Args:
         positions: sequence of (coord1, coord2) pairs; for haversine these
@@ -134,31 +180,73 @@ def build_distance_matrix(positions, metric: str = "euclidean") -> PointSet:
         raise ValueError(f"positions must be a non-empty (N, 2) array, got shape {pos.shape}")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions contain non-finite values")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if metric == "haversine_meters":
         lon, lat = pos[:, 0], pos[:, 1]
         if (np.abs(lon) > 180.0).any() or (np.abs(lat) > 90.0).any():
             raise ValueError("haversine positions must be (lon, lat) degrees with |lon|<=180, |lat|<=90")
-    return PointSet(positions=pos, metric=metric, dist=_distance_matrix(pos, metric))
+    return PointSet(positions=pos, metric=metric)
 
 
 def haversine_meters(p: tuple[float, float], q: tuple[float, float]) -> float:
     """Great-circle distance in metres between two (lon, lat) degree pairs."""
     pos = np.array([p, q], dtype=float)
-    return float(_haversine_matrix(pos)[0, 1])
+    return float(_pair_dist(pos, np.array([0]), np.array([1]), "haversine_meters")[0])
 
 
-def within_tau(point_set: PointSet, tau: float) -> np.ndarray:
-    """The (N, N) bool mask of point pairs at most tau apart."""
-    return point_set.dist <= tau
+def _nearest_of(pos: np.ndarray, metric: str, rows: np.ndarray) -> np.ndarray:
+    """The nearest distance from each of ``rows`` to all other points, 2**16 at a time."""
+    nn = np.empty(rows.size)
+    step = max(1, 2 ** 16 // pos.shape[0])
+    for lo in range(0, rows.size, step):
+        blk = rows[lo:lo + step]
+        d = _pair_dist(pos, blk[:, None], np.arange(pos.shape[0]), metric)
+        d[np.arange(blk.size), blk] = np.inf
+        nn[lo:lo + step] = d.min(axis=1)
+    return nn
+
+
+def nearest_distances(point_set: PointSet) -> np.ndarray:
+    """Each point's distance to its nearest other point, in O(N) extra memory.
+
+    Pairs come from the grid at four times the median nearest distance of a
+    strided sample of up to 32 points; points with none are measured against all.
+    """
+    pos, metric = point_set.positions, point_set.metric
+    sample = np.unique(np.linspace(0, pos.shape[0] - 1, 32).astype(np.int64))
+    i, j, d = _pairs_within(point_set, 4.0 * float(np.median(_nearest_of(pos, metric, sample))))
+    nn = np.full(pos.shape[0], np.inf)
+    np.minimum.at(nn, i, d)
+    np.minimum.at(nn, j, d)
+    lonely = np.flatnonzero(nn == np.inf)
+    nn[lonely] = _nearest_of(pos, metric, lonely)
+    return nn
+
+
+def within_tau(point_set: PointSet, tau: float) -> list[np.ndarray]:
+    """Each point's neighbours within tau: row i is ascending and holds i.
+
+    The rows are views into one compressed-sparse-row index array.
+    """
+    n = point_set.n_points
+    i, j, _ = _pairs_within(point_set, tau)
+    rows = np.concatenate([i, j, np.arange(n)])
+    indices = np.sort(rows * n + np.concatenate([j, i, np.arange(n)])) % n
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    return [indices[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def is_feasible(clustering: Clustering, point_set: PointSet, tau: float) -> bool:
     """True iff every within-cluster pairwise distance is <= tau."""
     labels = clustering.labels
-    if labels.size != point_set.n_points:
+    n = labels.size
+    if n != point_set.n_points:
         raise ValueError("clustering and point set sizes differ")
-    same = labels[:, None] == labels[None, :]
-    return bool(within_tau(point_set, tau)[same].all())
+    nbrs = within_tau(point_set, tau)
+    row = np.repeat(np.arange(n), [r.size for r in nbrs])
+    same = np.bincount(row[labels[row] == labels[np.concatenate(nbrs)]], minlength=n)
+    return bool((same == np.bincount(labels)[labels]).all())
 
 
 def renumber(labels: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ AuditHook = Callable[[np.ndarray], None]
 # Scores one label array on one day's (N, H) traffic and returns its f.
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 
-# A solver's day-by-day search: given the tau mask, each day's (N, H)
-# traffic and the scorer, it yields per day the labels to deploy, the search
-# trace and the evaluations charged.
-DaySearch = Callable[[np.ndarray, list[np.ndarray], Scorer],
+# A solver's day-by-day search: given the tau neighbour lists, each day's
+# (N, H) traffic and the scorer, it yields per day the labels to deploy, the
+# search trace and the evaluations charged.
+DaySearch = Callable[[Sequence[np.ndarray], list[np.ndarray], Scorer],
                      Iterator[tuple[np.ndarray, list[float], int]]]
 
 
@@ -64,22 +64,21 @@ class DayResult:
     evals_used: int
 
 
-def _grow(labels: np.ndarray, adj: np.ndarray, seed: int, picked: Iterable[int],
+def _grow(labels: np.ndarray, nbrs: Sequence[np.ndarray], seed: int, picked: Iterable[int],
           k: int) -> None:
     """Pairwise repair: give seed label k, then each picked point within tau of all added."""
     labels[seed] = k
-    added = [seed]
+    common = set(nbrs[seed].tolist())  # the points within tau of every added point
     for c in picked:
-        row = adj[c]
-        if all(row[a] for a in added):
+        if c in common:
             labels[c] = k
-            added.append(c)
+            common.intersection_update(nbrs[c].tolist())
 
 
-def _joinable(labels: np.ndarray, adj: np.ndarray, x: int, K: int) -> np.ndarray:
-    """Clusters other than x's whose every member lies within tau of x."""
-    outside = np.bincount(labels[~adj[x]], minlength=K + 1)
-    full = np.flatnonzero(outside[1:] == 0) + 1
+def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: np.ndarray) -> np.ndarray:
+    """Clusters other than x's wholly within tau of x; counts = bincount(labels)."""
+    inside = np.bincount(labels[row], minlength=counts.size)
+    full = np.flatnonzero(inside[1:] == counts[1:]) + 1
     return full[full != labels[x]]
 
 
@@ -90,27 +89,25 @@ def _move(labels: np.ndarray, x: int, k: int) -> np.ndarray:
     return renumber(new)
 
 
-def _initial_labels(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Grow random feasible clusters until every point is assigned."""
-    n = adj.shape[0]
+    n = len(nbrs)
     labels = np.zeros(n, dtype=np.int64)
     pool = np.arange(n)  # the unassigned points, ascending
     k = 0
     while pool.size:
-        i = rng.integers(pool.size)
-        r = int(pool[i])
+        r = int(pool[rng.integers(pool.size)])
         k += 1
-        near = adj[r, pool]
-        near[i] = False  # r itself
-        close = pool[near]
+        row = nbrs[r]
+        close = row[(labels[row] == 0) & (row != r)]
         num = int(rng.integers(0, close.size + 1)) if close.size else 0
         picked = rng.choice(close, size=num, replace=False) if num else ()
-        _grow(labels, adj, r, picked, k)
+        _grow(labels, nbrs, r, picked, k)
         pool = pool[labels[pool] == 0]
     return labels
 
 
-def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,
+def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
                    rng: np.random.Generator) -> np.ndarray:
     """Move one point (isolated points preferred) between feasible clusters."""
     n = labels.size
@@ -123,13 +120,14 @@ def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,
     else:
         x = int(rng.integers(n))
     kx = int(labels[x])
+    row = nbrs[x]
 
-    mut_clusters = _joinable(labels, adj, x, K)
+    mut_clusters = _joinable(labels, row, x, counts)
     if mut_clusters.size:
         return _move(labels, x, int(mut_clusters[rng.integers(mut_clusters.size)]))
 
     # Otherwise: clusters with at least one member within tau of x.
-    near = np.bincount(labels[adj[x]], minlength=K + 1)
+    near = np.bincount(labels[row], minlength=K + 1)
     near[kx] = 0
     adjacent = np.flatnonzero(near[1:] > 0) + 1
     if adjacent.size == 0:
@@ -139,10 +137,10 @@ def _mutate_labels(labels: np.ndarray, adj: np.ndarray, prob: float,
         return _move(labels, x, K + 1)
 
     c = int(adjacent[rng.integers(adjacent.size)])
-    cand = np.flatnonzero((labels == c) & adj[x])
+    cand = row[labels[row] == c]
     num = int(rng.integers(1, cand.size + 1))
     new = labels.copy()
-    _grow(new, adj, x, rng.choice(cand, size=num, replace=False), K + 1)
+    _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
     return renumber(new)
 
 
@@ -161,21 +159,22 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return renumber(new)
 
 
-def initial_pop(adj: np.ndarray, popsize: int, rng: np.random.Generator) -> list[Clustering]:
+def initial_pop(nbrs: Sequence[np.ndarray], popsize: int,
+                rng: np.random.Generator) -> list[Clustering]:
     """Generate popsize random feasible clusterings (unevaluated).
 
-    ``adj`` is the tau mask of :func:`~bbuclust.model.within_tau`.
+    ``nbrs`` is the neighbour lists of :func:`~bbuclust.model.within_tau`.
     """
-    return [Clustering(_initial_labels(adj, rng)) for _ in range(popsize)]
+    return [Clustering(_initial_labels(nbrs, rng)) for _ in range(popsize)]
 
 
-def mutate(parent: Clustering, adj: np.ndarray, prob: float,
+def mutate(parent: Clustering, nbrs: Sequence[np.ndarray], prob: float,
            rng: np.random.Generator) -> Clustering:
     """One feasibility-preserving mutation of a parent clustering.
 
-    ``adj`` is the tau mask of :func:`~bbuclust.model.within_tau`.
+    ``nbrs`` is the neighbour lists of :func:`~bbuclust.model.within_tau`.
     """
-    return Clustering(_mutate_labels(parent.labels, adj, prob, rng))
+    return Clustering(_mutate_labels(parent.labels, nbrs, prob, rng))
 
 
 def split_population(population: Sequence[Clustering],
@@ -189,8 +188,8 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
                 audit: AuditHook | None) -> list[DayResult]:
     """The day driver both solvers share.
 
-    Checks the traffic against the point set and ``problem.H``, builds the
-    tau mask once, runs ``search`` over the days with the one scorer every
+    Checks the traffic against the point set and ``problem.H``, builds
+    ``within_tau`` once, runs ``search`` over the days with the one scorer every
     candidate passes through (it calls ``audit`` first, when set) and
     re-scores each day's deployed labels (an uncharged evaluation) into a
     :class:`DayResult`.
@@ -236,10 +235,10 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
     """
-    def search(adj, values_by_day, score):
+    def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
-        pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
+        pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
 
         for d, values in enumerate(values_by_day):
             if d:
@@ -247,7 +246,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 if config.variant == "split":
                     pop = [_split_labels(lab, rng) for lab in pop]
                 elif config.variant == "rand":
-                    pop = [_initial_labels(adj, rng) for _ in range(config.popsize)]
+                    pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
             fits = np.array([score(lab, values) for lab in pop])
@@ -258,7 +257,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             trace = [float(fits[0])]
 
             for _ in range(config.maxgen):
-                offspring = [_mutate_labels(lab, adj, config.prob, rng) for lab in pop]
+                offspring = [_mutate_labels(lab, nbrs, config.prob, rng) for lab in pop]
                 off_fits = np.array([score(lab, values) for lab in offspring])
                 evals += config.popsize
                 merged = pop + offspring
@@ -294,7 +293,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     n = point_set.n_points
 
-    def search(adj, values_by_day, score):
+    def search(nbrs, values_by_day, score):
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
             cur_f = score(labels, values)
@@ -303,7 +302,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             evals = 0
             while evals < budget:
                 x = int(rng.integers(n))
-                targets = _joinable(labels, adj, x, int(labels.max()))
+                targets = _joinable(labels, nbrs[x], x, np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
                 best_f = score(labels, values)

@@ -1,11 +1,41 @@
-"""Plain-Python reference implementations used only as test oracles.
+"""Reference implementations used only as test oracles.
 
 These deliberately avoid numpy vectorization so they share no code path with
-the library: everything is nested loops over Python lists.
+the library: everything is nested loops over Python lists. The exception is
+``dense_distance``, the library's former dense N x N distance matrix, kept
+verbatim as the reference its neighbour lists must reproduce exactly.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
+
+
+def _haversine_matrix(positions: np.ndarray) -> np.ndarray:
+    lon = np.radians(positions[:, 0])
+    lat = np.radians(positions[:, 1])
+    dlat = lat[:, None] - lat[None, :]
+    dlon = lon[:, None] - lon[None, :]
+    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2
+    a = np.clip(a, 0.0, 1.0)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
+
+
+def dense_distance(positions, metric: str = "euclidean") -> np.ndarray:
+    """The dense N x N distance matrix of (N, 2) positions."""
+    positions = np.asarray(positions, dtype=float)
+    if metric == "euclidean":
+        diff = positions[:, None, :] - positions[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=2))
+    elif metric == "haversine_meters":
+        d = _haversine_matrix(positions)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def pure_fitness(labels, values, w):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bbuclust import datasets, model, objective
+from _oracles import dense_distance
 
 
 def test_gen_locations_random(rng):
@@ -19,7 +20,7 @@ def test_gen_locations_cohesive_geometry(rng):
     pos, groups = datasets.gen_locations_cohesive(12, 5, tau, rng)
     assert sum(len(g) for g in groups) == pos.shape[0]
     assert all(1 <= len(g) <= 5 for g in groups)
-    dist = model.build_distance_matrix(pos).dist
+    dist = dense_distance(pos)
     group_of = {}
     for gi, g in enumerate(groups):
         for i in g:
@@ -37,7 +38,7 @@ def test_gen_locations_core_scatter_geometry(rng):
     tau = 5.0
     pos = datasets.gen_locations_core_scatter(20, 35, tau, rng)
     assert pos.shape == (35, 2)
-    dist = model.build_distance_matrix(pos).dist
+    dist = dense_distance(pos)
     core = dist[:20, :20]
     assert core.max() <= tau / 5.0  # dense core, far below tau
     for s in range(20, 35):

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bbuclust import datasets, harness, model
+from _oracles import dense_distance
 
 
 def _tiny_spec(ds, algs=("splitea", "greedy"), runs=3, **kw):
@@ -37,16 +41,31 @@ def test_resolve_tau():
 
 
 def test_resolve_tau_blocks_match_dense_reference(rng):
-    # Sizes on both sides of a 256-row block edge; the last case puts
-    # co-located twins in different blocks.
+    # Sizes from 2 to 600; the last case puts co-located twins far apart
+    # in index order.
     for n in (2, 255, 256, 257, 600):
         pos = rng.uniform(0.0, 50.0, size=(n, 2))
         if n == 600:
             pos[400] = pos[3]
         ps = model.build_distance_matrix(pos)
-        d = ps.dist.copy()
+        d = dense_distance(pos)
         np.fill_diagonal(d, np.inf)
         assert harness.resolve_tau(ps) == 3.0 * float(d.min(axis=1).mean())
+
+
+def test_resolve_tau_and_within_tau_memory_is_linear():
+    # 20,000 points at the density of the N = 2000 benchmark instance (2000
+    # in a 100 x 100 box). A dense N x N float matrix alone would be 3.2 GB.
+    n = 20_000
+    pos = np.random.default_rng(3).uniform(0.0, 100.0 * math.sqrt(n / 2000), size=(n, 2))
+    ps = model.build_distance_matrix(pos)
+    tracemalloc.start()
+    try:
+        model.within_tau(ps, harness.resolve_tau(ps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_resolve_tau_rejects_colocated_points():

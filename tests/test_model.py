@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bbuclust import model
-from _oracles import pure_renumber
+from bbuclust import harness, model
+from _oracles import dense_distance, feasible, pure_renumber
 
 
 def test_haversine_frozen_values():
@@ -15,17 +17,19 @@ def test_haversine_frozen_values():
 
 
 def test_haversine_matrix_properties():
-    ps = model.build_distance_matrix([[9.19, 45.46], [9.20, 45.46], [9.19, 45.47]],
-                                     metric="haversine_meters")
-    assert np.allclose(ps.dist, ps.dist.T)
-    assert np.all(np.diag(ps.dist) == 0.0)
-    assert ps.dist[0, 1] == pytest.approx(779.9301161647776, abs=1e-6)
+    pos = [[9.19, 45.46], [9.20, 45.46], [9.19, 45.47]]
+    dist = dense_distance(pos, "haversine_meters")
+    assert np.allclose(dist, dist.T)
+    assert np.all(np.diag(dist) == 0.0)
+    assert dist[0, 1] == pytest.approx(779.9301161647776, abs=1e-6)
 
 
 def test_euclidean_matrix():
-    ps = model.build_distance_matrix([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-    assert ps.dist[0, 1] == pytest.approx(5.0)
-    assert ps.dist[0, 2] == pytest.approx(1.0)
+    pos = [[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]]
+    ps = model.build_distance_matrix(pos)
+    dist = dense_distance(pos)
+    assert dist[0, 1] == pytest.approx(5.0)
+    assert dist[0, 2] == pytest.approx(1.0)
     assert ps.n_points == 3
 
 
@@ -118,3 +122,135 @@ def test_renumber_rejects_labels_below_one():
     for bad in ([0, 1, 2], [3, -1], [-5]):
         with pytest.raises(ValueError, match="start at 1"):
             model.renumber(np.array(bad))
+
+
+@st.composite
+def point_sets(draw):
+    """(positions, metric, tau) for the cases the tau grid must get exactly right.
+
+    Lattices put many pairs at exactly tau (or a rounding error away from
+    it, for a step of 0.1 or 0.3), every layout may hold co-located
+    twins, small taus make every point a singleton, ``capped`` spreads
+    points over more than 2**20 tau so the grid must widen its cells, and
+    the haversine layouts cover the whole globe, the antimeridian and the
+    poles. ``clumped`` leaves far points with no neighbour in the sampled
+    radius of :func:`bbuclust.model.nearest_distances`.
+    """
+    kind = draw(st.sampled_from(["lattice", "uniform", "capped", "clumped", "globe",
+                                 "antimeridian", "pole"]))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    metric = "euclidean"
+    if kind == "lattice":
+        # Half the points sit one lattice step from the other half, up to
+        # thousands of steps from the lowest point.
+        step = draw(st.sampled_from([1.0, 0.1, 0.3, 7.0]))
+        cells = rng.integers(0, draw(st.sampled_from([5, 3000])), size=(n, 2))
+        cells[n // 2:] = cells[: n - n // 2] + rng.integers(-1, 2, size=(n - n // 2, 2))
+        pos = cells * step
+        tau = step * draw(st.sampled_from([1.0, math.sqrt(2.0), 2.0]))
+    elif kind == "uniform":
+        pos = rng.uniform(-10.0, 10.0, size=(n, 2))
+        tau = draw(st.floats(1e-9, 30.0))
+    elif kind == "capped":
+        pos = rng.uniform(0.0, 1e7, size=(n, 2))
+        pos[n // 2:] = pos[: n - n // 2] + rng.uniform(-1e-3, 1e-3, size=(n - n // 2, 2))
+        tau = 1e-3
+    elif kind == "clumped":
+        pos = rng.uniform(0.0, 0.01, size=(n, 2))
+        pos[: n // 5] = rng.uniform(100.0, 1000.0, size=(n // 5, 2))
+        tau = draw(st.floats(1e-4, 2000.0))
+    else:
+        metric = "haversine_meters"
+        if kind == "globe":
+            lon, lat = rng.uniform(-180.0, 180.0, n), rng.uniform(-90.0, 90.0, n)
+            tau = draw(st.floats(1e3, 2.1e7))
+        elif kind == "antimeridian":
+            lon = rng.uniform(179.9, 180.0, n) * rng.choice([-1.0, 1.0], n)
+            lat = rng.uniform(-1.0, 1.0, n)
+            tau = draw(st.floats(10.0, 3e4))
+        else:
+            lon = rng.uniform(-180.0, 180.0, n)
+            lat = rng.uniform(89.9, 90.0, n) * rng.choice([-1.0, 1.0], n)
+            tau = draw(st.floats(10.0, 3e4))
+        pos = np.column_stack([lon, lat])
+    twins = draw(st.integers(0, n // 2))
+    pos[:twins] = pos[n - twins:]
+    return pos, metric, tau
+
+
+def _assert_rows_match_dense(pos, metric, tau):
+    nb = model.within_tau(model.build_distance_matrix(pos, metric), tau)
+    near = dense_distance(pos, metric) <= tau
+    assert len(nb) == len(pos)
+    for i in range(len(pos)):
+        row = nb[i]
+        assert (np.diff(row) > 0).all() and i in row
+        assert row.tolist() == np.flatnonzero(near[i]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_within_tau_rows_equal_dense_mask(case):
+    _assert_rows_match_dense(*case)
+
+
+@pytest.mark.parametrize("pos, metric, tau", [
+    ([[0.0, 0.0]], "euclidean", 1.0),
+    ([[0.0, 0.0], [0.0, 0.0]], "euclidean", 1e-9),  # co-located twins
+    ([[0.0, 0.0], [3.0, 4.0]], "euclidean", 5.0),  # exactly tau apart
+    ([[0.0, 0.0], [3.0, 4.0]], "euclidean", 4.999999999),
+    ([[0.0, 0.0], [1.0, 1.0]], "euclidean", math.sqrt(2.0)),
+    ([[179.99, 0.0], [-179.99, 0.0]], "haversine_meters", 2300.0),  # across the antimeridian
+    ([[0.0, 90.0], [180.0, 90.0], [90.0, 89.99]], "haversine_meters", 1200.0),  # at the pole
+    ([[0.0, 0.0], [180.0, 0.0]], "haversine_meters", 2.1e7),  # antipodes
+])
+def test_within_tau_edge_cases(pos, metric, tau):
+    _assert_rows_match_dense(np.array(pos), metric, tau)
+
+
+def test_within_tau_long_line_at_exactly_tau():
+    # 2000 points one tau apart: a grid cell even 0.1% narrower than tau
+    # would split some neighbours two cells apart.
+    n = 2000
+    nb = model.within_tau(model.build_distance_matrix(np.column_stack([np.arange(n) * 1.0,
+                                                                        np.zeros(n)])), 1.0)
+    for i in range(n):
+        assert nb[i].tolist() == list(range(max(i - 1, 0), min(i + 2, n)))
+
+
+def test_within_tau_below_every_gap_gives_singletons(rng):
+    pos = rng.uniform(0.0, 100.0, size=(200, 2))
+    d = dense_distance(pos)
+    np.fill_diagonal(d, np.inf)
+    nb = model.within_tau(model.build_distance_matrix(pos), d.min() / 2.0)
+    assert [row.tolist() for row in nb] == [[i] for i in range(200)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_resolve_tau_equals_dense_three_mean_nn(case):
+    pos, metric, _ = case
+    if len(pos) < 2:
+        return
+    d = dense_distance(pos, metric)
+    np.fill_diagonal(d, np.inf)
+    expected = 3.0 * float(d.min(axis=1).mean())
+    ps = model.build_distance_matrix(pos, metric)
+    if expected == 0.0:
+        with pytest.raises(ValueError, match="3x-mean-nn"):
+            harness.resolve_tau(ps)
+    else:
+        assert harness.resolve_tau(ps) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.integers(0, 2 ** 32 - 1))
+def test_is_feasible_agrees_with_dense_check(case, seed):
+    pos, metric, tau = case
+    n = len(pos)
+    rng = np.random.default_rng(seed)
+    labels = model.renumber(rng.integers(1, rng.integers(1, n + 1) + 1, size=n))
+    expected = feasible(labels.tolist(), dense_distance(pos, metric).tolist(), tau)
+    ps = model.build_distance_matrix(pos, metric)
+    assert model.is_feasible(model.Clustering(labels), ps, tau) == expected

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bbuclust import model, objective, solvers
-from _oracles import brute_force_best
+from _oracles import brute_force_best, dense_distance
 
 
 def _points(coords):
@@ -254,7 +254,7 @@ def test_solvers_reach_brute_force_optimum(rng):
     values = rng.random((7, 4))
     traffic = [model.TrafficDay(values=values)]
     problem = model.ProblemConfig(w=0.05, tau=2.5, H=4)
-    best = brute_force_best(values.tolist(), ps.dist.tolist(), 2.5, 0.05)
+    best = brute_force_best(values.tolist(), dense_distance(pos).tolist(), 2.5, 0.05)
 
     cfg = solvers.EaConfig(popsize=10, maxgen=100, seed=0)
     r = solvers.run_ea(ps, traffic, cfg, problem)[0]
