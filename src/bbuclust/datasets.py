@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -312,7 +313,8 @@ def load_dataset(in_dir: str | Path) -> Dataset:
     manifest = DatasetManifest.from_json((d / "manifest.json").read_text())
     point_set, traffic = _read_csvs(d / "locations.csv", d / "traffic.csv",
                                     manifest.distance_metric)
-    if point_set.n_points != manifest.n_points or len(traffic) != manifest.n_days:
+    found = (point_set.n_points, len(traffic), traffic[0].n_hours)
+    if found != (manifest.n_points, manifest.n_days, manifest.hours):
         raise ValueError("manifest disagrees with CSV contents")
     return Dataset(manifest=manifest, point_set=point_set, traffic=traffic)
 
@@ -333,49 +335,61 @@ def _reject_extra(sizes: dict) -> None:
         raise TypeError(f"unexpected size arguments: {sorted(sizes)}")
 
 
+# One row of each input CSV; the field names are its expected header.
+_LOCATION_ROW = np.dtype([("id", "i8"), ("coord1", "f8"), ("coord2", "f8")])
+_TRAFFIC_ROW = np.dtype([("day", "i8"), ("hour", "i8"), ("point_id", "i8"), ("value", "f8")])
+
+
+def _read_table(path: Path, row: np.dtype) -> np.ndarray:
+    """Check a CSV's header against ``row``'s names; parse its body with one ``np.loadtxt``."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        header = next(csv.reader(fh), None)
+        if header != list(row.names):
+            raise ValueError(f"{path}: expected header {','.join(row.names)}, got {header}")
+        try:
+            return np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1, comments=None, quotechar='"')
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_csvs(locations_path: Path, traffic_path: Path,
                metric: str) -> tuple[PointSet, list[TrafficDay]]:
-    with open(locations_path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != ["id", "coord1", "coord2"]:
-            raise ValueError(f"{locations_path}: expected header id,coord1,coord2, got {header}")
-        rows = [(int(r[0]), float(r[1]), float(r[2])) for r in rd]
-    rows.sort(key=lambda r: r[0])
-    n = len(rows)
-    if [r[0] for r in rows] != list(range(n)):
+    loc = _read_table(locations_path, _LOCATION_ROW)
+    loc = loc[np.argsort(loc["id"], kind="stable")]
+    n = loc.size
+    if not np.array_equal(loc["id"], np.arange(n)):
         raise ValueError(f"{locations_path}: point ids must be exactly 0..{n - 1}")
-    positions = np.array([[r[1], r[2]] for r in rows])
-    point_set = build_distance_matrix(positions, metric)
+    point_set = build_distance_matrix(np.column_stack([loc["coord1"], loc["coord2"]]), metric)
 
-    with open(traffic_path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != ["day", "hour", "point_id", "value"]:
-            raise ValueError(f"{traffic_path}: expected header day,hour,point_id,value, got {header}")
-        entries = []
-        for lineno, r in enumerate(rd, start=2):
-            day, hour, pid, val = int(r[0]), int(r[1]), int(r[2]), float(r[3])
-            if not (0.0 <= val <= 1.0):
-                raise ValueError(
-                    f"{traffic_path} line {lineno}: value {val!r} for day {day}, hour {hour}, "
-                    f"point {pid} is outside [0, 1]")
-            entries.append((day, hour, pid, val))
-    if not entries:
+    rows = _read_table(traffic_path, _TRAFFIC_ROW)
+    day, hour, pid, val = (rows[f] for f in _TRAFFIC_ROW.names)
+    bad = ~((val >= 0.0) & (val <= 1.0))  # NaN is bad too
+    if bad.any():
+        i = int(np.argmax(bad))
+        with open(traffic_path) as fh:  # row i's line, counting the blank lines loadtxt skips
+            line = [k for k, text in enumerate(fh, start=1) if k > 1 and text != "\n"][i]
+        raise ValueError(f"{traffic_path} line {line}: value {float(val[i])!r} for day {day[i]}, "
+                         f"hour {hour[i]}, point {pid[i]} is outside [0, 1]")
+    if not rows.size:
         raise ValueError(f"{traffic_path}: no traffic rows")
-    n_days = max(e[0] for e in entries) + 1
-    n_hours = max(e[1] for e in entries) + 1
-    seen = np.zeros((n_days, n_hours, n), dtype=bool)
+    n_days, n_hours = int(day.max()) + 1, int(hour.max()) + 1
+    # Allocated first, so a size numpy cannot allocate fails here and every key fits in int64.
     values = np.zeros((n_days, n, n_hours))
-    for day, hour, pid, val in entries:
-        if not (0 <= day < n_days and 0 <= hour < n_hours and 0 <= pid < n):
-            raise ValueError(f"{traffic_path}: entry ({day},{hour},{pid}) out of range")
-        if seen[day, hour, pid]:
-            raise ValueError(f"{traffic_path}: duplicate entry for day {day}, hour {hour}, point {pid}")
-        seen[day, hour, pid] = True
-        values[day, pid, hour] = val
-    if not seen.all():
-        day, hour, pid = np.argwhere(~seen)[0]
+    outside = (day < 0) | (hour < 0) | (pid < 0) | (pid >= n)
+    key = (day * n_hours + hour) * n + pid
+    counts = None if outside.any() else np.bincount(key, minlength=values.size)
+    if counts is None or counts.max() > 1:
+        # The first row in file order that is out of range or repeats an earlier key.
+        inside = np.flatnonzero(~outside)
+        order = inside[np.argsort(key[inside], kind="stable")]
+        i = np.append(np.flatnonzero(outside), order[1:][key[order[1:]] == key[order[:-1]]]).min()
+        if outside[i]:
+            raise ValueError(f"{traffic_path}: entry ({day[i]},{hour[i]},{pid[i]}) out of range")
+        raise ValueError(f"{traffic_path}: duplicate entry for day {day[i]}, hour {hour[i]}, "
+                         f"point {pid[i]}")
+    if rows.size < values.size:
+        day, hour, pid = np.argwhere(counts.reshape(n_days, n_hours, n) == 0)[0]
         raise ValueError(f"{traffic_path}: missing entry for day {day}, hour {hour}, point {pid}")
-    traffic = [TrafficDay(values=values[d], day_index=d) for d in range(n_days)]
-    return point_set, traffic
+    values[day, pid, hour] = val
+    return point_set, [TrafficDay(values=values[d], day_index=d) for d in range(n_days)]

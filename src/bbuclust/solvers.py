@@ -7,6 +7,7 @@ public surface wraps them in :class:`~bbuclust.model.Clustering`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,19 +92,19 @@ def _move(labels: np.ndarray, x: int, k: int) -> np.ndarray:
 
 def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Grow random feasible clusters until every point is assigned."""
-    n = len(nbrs)
-    labels = np.zeros(n, dtype=np.int64)
-    pool = np.arange(n)  # the unassigned points, ascending
+    labels = np.zeros(len(nbrs), dtype=np.int64)
+    pool = list(range(len(nbrs)))  # the unassigned points, ascending
     k = 0
-    while pool.size:
-        r = int(pool[rng.integers(pool.size)])
+    while pool:
+        r = pool[rng.integers(len(pool))]
         k += 1
         row = nbrs[r]
         close = row[(labels[row] == 0) & (row != r)]
         num = int(rng.integers(0, close.size + 1)) if close.size else 0
-        picked = rng.choice(close, size=num, replace=False) if num else ()
+        picked = rng.choice(close, size=num, replace=False).tolist() if num else []
         _grow(labels, nbrs, r, picked, k)
-        pool = pool[labels[pool] == 0]
+        for a in [r, *(c for c in picked if labels[c] == k)]:  # the points just assigned
+            del pool[bisect_left(pool, a)]
     return labels
 
 

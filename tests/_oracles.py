@@ -1,15 +1,21 @@
 """Reference implementations used only as test oracles.
 
 These deliberately avoid numpy vectorization so they share no code path with
-the library: everything is nested loops over Python lists. The exception is
-``dense_distance``, the library's former dense N x N distance matrix, kept
-verbatim as the reference its neighbour lists must reproduce exactly.
+the library: everything is nested loops over Python lists. The exceptions are
+kept verbatim from earlier versions of the library, as the references their
+replacements must reproduce exactly: ``dense_distance``, the former dense
+N x N distance matrix, and ``reference_read_csvs``, the former row-by-row CSV
+reader.
 """
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
+
+from bbuclust.model import PointSet, TrafficDay, build_distance_matrix
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
 
@@ -36,6 +42,56 @@ def dense_distance(positions, metric: str = "euclidean") -> np.ndarray:
         raise ValueError(f"unknown metric {metric!r}")
     np.fill_diagonal(d, 0.0)
     return d
+
+
+
+def reference_read_csvs(locations_path: Path, traffic_path: Path,
+                        metric: str) -> tuple[PointSet, list[TrafficDay]]:
+    """The row-by-row reader ``datasets._read_csvs`` must reproduce, kept verbatim."""
+    with open(locations_path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, None)
+        if header != ["id", "coord1", "coord2"]:
+            raise ValueError(f"{locations_path}: expected header id,coord1,coord2, got {header}")
+        rows = [(int(r[0]), float(r[1]), float(r[2])) for r in rd]
+    rows.sort(key=lambda r: r[0])
+    n = len(rows)
+    if [r[0] for r in rows] != list(range(n)):
+        raise ValueError(f"{locations_path}: point ids must be exactly 0..{n - 1}")
+    positions = np.array([[r[1], r[2]] for r in rows])
+    point_set = build_distance_matrix(positions, metric)
+
+    with open(traffic_path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, None)
+        if header != ["day", "hour", "point_id", "value"]:
+            raise ValueError(f"{traffic_path}: expected header day,hour,point_id,value, got {header}")
+        entries = []
+        for lineno, r in enumerate(rd, start=2):
+            day, hour, pid, val = int(r[0]), int(r[1]), int(r[2]), float(r[3])
+            if not (0.0 <= val <= 1.0):
+                raise ValueError(
+                    f"{traffic_path} line {lineno}: value {val!r} for day {day}, hour {hour}, "
+                    f"point {pid} is outside [0, 1]")
+            entries.append((day, hour, pid, val))
+    if not entries:
+        raise ValueError(f"{traffic_path}: no traffic rows")
+    n_days = max(e[0] for e in entries) + 1
+    n_hours = max(e[1] for e in entries) + 1
+    seen = np.zeros((n_days, n_hours, n), dtype=bool)
+    values = np.zeros((n_days, n, n_hours))
+    for day, hour, pid, val in entries:
+        if not (0 <= day < n_days and 0 <= hour < n_hours and 0 <= pid < n):
+            raise ValueError(f"{traffic_path}: entry ({day},{hour},{pid}) out of range")
+        if seen[day, hour, pid]:
+            raise ValueError(f"{traffic_path}: duplicate entry for day {day}, hour {hour}, point {pid}")
+        seen[day, hour, pid] = True
+        values[day, pid, hour] = val
+    if not seen.all():
+        day, hour, pid = np.argwhere(~seen)[0]
+        raise ValueError(f"{traffic_path}: missing entry for day {day}, hour {hour}, point {pid}")
+    traffic = [TrafficDay(values=values[d], day_index=d) for d in range(n_days)]
+    return point_set, traffic
 
 
 def pure_fitness(labels, values, w):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -106,3 +107,19 @@ def test_error_exits(ds_dir, tmp_path, capsys):
     assert "24" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli.main(["run", "--dataset", str(ds_dir), "--alpha", "0.2"])
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("traffic.csv", lambda lines: lines[:3] + ["0,0,2"] + lines[4:]),
+    ("traffic.csv", lambda lines: lines[:3] + [lines[3] + ",7"] + lines[4:]),
+    ("locations.csv", lambda lines: lines[:2] + ["1,0.5"] + lines[3:]),
+    ("traffic.csv", lambda lines: lines[:3] + ["   "] + lines[3:]),
+], ids=["too-few-fields", "five-fields", "locations-two-fields", "whitespace-line"])
+def test_run_rejects_malformed_rows(ds_dir, tmp_path, capsys, name, edit):
+    d = tmp_path / "bad"
+    shutil.copytree(ds_dir, d)
+    lines = (d / name).read_text().splitlines()
+    (d / name).write_text("\n".join(edit(lines)) + "\n")
+    assert cli.main(["run", "--dataset", str(d), *RUN_FLAGS]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {d / name}: ")

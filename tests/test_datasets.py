@@ -1,10 +1,14 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbuclust import datasets, model, objective
-from _oracles import dense_distance
+from _oracles import dense_distance, reference_read_csvs
 
 
 def test_gen_locations_random(rng):
@@ -180,6 +184,138 @@ def test_loader_validation_errors(tmp_path):
     badloc.write_text("id,coord1,coord2\n0,0.0,0.0\n2,1.0,1.0\n")
     with pytest.raises(ValueError, match="ids must be"):
         datasets.load_csv_dataset(badloc, tra)
+
+
+def test_load_dataset_checks_manifest_hours(tmp_path):
+    ds = datasets.make_dataset("1a", seed=1, n_days=1, n_points=3)
+    datasets.save_dataset(ds, tmp_path)
+    tra = tmp_path / "traffic.csv"
+    lines = tra.read_text().splitlines()
+    tra.write_text("\n".join(line for line in lines if not line.startswith("0,23,")) + "\n")
+    with pytest.raises(ValueError, match="manifest disagrees with CSV contents"):
+        datasets.load_dataset(tmp_path)
+
+
+def _write_csvs(out: Path, ids, positions, rows, style: str, quoted: bool) -> tuple[Path, Path]:
+    """Bare CSVs in ``save_dataset``'s CRLF csv.writer style or a LF style
+    writing ``repr`` floats (as ``perfbench/run.py`` does), fields optionally quoted."""
+    loc, tra = out / "locations.csv", out / "traffic.csv"
+    tables = [(loc, ["id", "coord1", "coord2"], [(i, *positions[i]) for i in ids]),
+              (tra, ["day", "hour", "point_id", "value"], rows)]
+    for path, header, body in tables:
+        body = [[repr(x) if isinstance(x, float) else str(x) for x in r] for r in body]
+        with open(path, "w", newline="") as fh:
+            if style == "crlf":
+                wr = csv.writer(fh, quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
+                wr.writerows([header, *body])
+            else:
+                q = '"' if quoted else ""
+                fh.writelines(",".join(f"{q}{x}{q}" for x in r) + "\n" for r in [header, *body])
+    return loc, tra
+
+
+def _assert_same_load(loc: Path, tra: Path, ref_tra: Path | None = None) -> None:
+    got = datasets.load_csv_dataset(loc, tra)
+    ref_ps, ref_traffic = reference_read_csvs(loc, ref_tra or tra, "euclidean")
+    assert got.point_set.positions.shape == ref_ps.positions.shape
+    assert got.point_set.positions.tobytes() == ref_ps.positions.tobytes()
+    assert [t.day_index for t in got.traffic] == [t.day_index for t in ref_traffic]
+    for a, b in zip(got.traffic, ref_traffic):
+        assert a.values.shape == b.values.shape
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53]
+
+
+@st.composite
+def _csv_inputs(draw):
+    n, days, hours = draw(st.integers(1, 40)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    coord = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(0.0, 1.0))
+    rows = [(d, h, p, draw(value)) for d in range(days) for h in range(hours) for p in range(n)]
+    return (draw(st.permutations(range(n))), positions, draw(st.permutations(rows)),
+            draw(st.sampled_from(["crlf", "lf"])), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_inputs())
+def test_read_csvs_matches_row_by_row_reference(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_same_load(*_write_csvs(Path(tmp), *case))
+
+
+def test_read_csvs_skips_blank_lines_and_counts_them(tmp_path):
+    ids, positions = [0, 1], [(0.0, 0.0), (1.0, 1.0)]
+    rows = [(0, 0, 0, 0.5), (0, 0, 1, 0.25)]
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    loc, ref_tra = _write_csvs(plain, ids, positions, rows, "lf", False)
+    tra = tmp_path / "traffic.csv"
+    lines = ref_tra.read_text().splitlines()
+    tra.write_text("\n".join([lines[0], "", lines[1], "", lines[2], "", ""]) + "\n")
+    _assert_same_load(loc, tra, ref_tra)
+    tra.write_bytes(b"day,hour,point_id,value\r\n\r\n0,0,0,0.5\r\n\r\n0,0,1,1.5\r\n")
+    with pytest.raises(ValueError, match=r"traffic.csv line 5: value 1.5 "):
+        datasets.load_csv_dataset(loc, tra)
+
+
+_LOC = "id,coord1,coord2\n0,0.0,0.0\n1,3.0,0.0\n2,0.0,4.0\n"
+_TRAFFIC = "day,hour,point_id,value\n"
+_ROWS = ["0,0,0,0.5", "0,0,1,0.25", "0,0,2,0.125", "0,1,0,1.0", "0,1,1,0.0", "0,1,2,0.75"]
+
+
+def _traffic(rows) -> str:
+    return _TRAFFIC + "".join(r + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("loc_text, traffic_text, match", [
+    (_LOC, _traffic(_ROWS[:2] + ["0,0,2,1.5"] + _ROWS[3:]), r"line 4: value 1\.5 for day 0"),
+    (_LOC, _traffic(["0,0,0,nan"] + _ROWS[1:]), r"line 2: value nan "),
+    (_LOC, _traffic(_ROWS[:3] + [_ROWS[0]] + _ROWS[3:] + ["0,1,3,0.5"]), "duplicate entry"),
+    (_LOC, _traffic(_ROWS[:2] + ["0,1,3,0.5"] + _ROWS[2:] + [_ROWS[0]]), "out of range"),
+    (_LOC, _traffic(_ROWS[:2] + _ROWS[4:]), "missing entry for day 0, hour 0, point 2"),
+    (_LOC, _traffic(_ROWS[:2] + ["-1,0,0,0.5"] + _ROWS[2:]), r"entry \(-1,0,0\) out of range"),
+    (_LOC, _traffic(_ROWS[:5] + ["0,1,3,0.75"]), r"entry \(0,1,3\) out of range"),
+    (_LOC, _traffic(_ROWS[:3] + ["0,-1,0,0.5"] + _ROWS[3:]), r"entry \(0,-1,0\) out of range"),
+    (_LOC, _traffic(_ROWS[:3] + ["0,1,-1,0.5"] + _ROWS[3:]), r"entry \(0,1,-1\) out of range"),
+    (_LOC, _traffic(["-2,0,0,0.5", "-3,0,1,0.5"]), "negative dimensions"),
+    (_LOC, "day,hour,point,value\n" + "".join(r + "\n" for r in _ROWS), "expected header day,"),
+    (_LOC, "", "expected header day,hour,point_id,value, got None"),
+    ("id,x,y\n0,0.0,0.0\n", _traffic(_ROWS), "expected header id,coord1,coord2"),
+    ("id,coord1,coord2\n0,0.0,0.0\n2,1.0,1.0\n", _traffic(_ROWS), r"ids must be exactly 0\.\.1"),
+    (_LOC, _TRAFFIC, "no traffic rows"),
+], ids=["value-1.5", "value-nan", "duplicate-then-range", "range-then-duplicate", "missing",
+        "negative-day", "point-id-n", "negative-hour", "negative-point-id", "every-day-negative",
+        "traffic-header", "empty-file", "locations-header", "ids-0-2", "empty-body"])
+def test_read_csvs_rejects_like_row_by_row_reference(tmp_path, loc_text, traffic_text, match):
+    loc, tra = tmp_path / "locations.csv", tmp_path / "traffic.csv"
+    loc.write_text(loc_text)
+    tra.write_text(traffic_text)
+    with pytest.raises(ValueError, match=match) as ref:
+        reference_read_csvs(loc, tra, "euclidean")
+    with pytest.raises(ValueError) as got:
+        datasets.load_csv_dataset(loc, tra)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("loc_text, traffic_text, bad", [
+    ("id,coord1,coord2\n0,0.0,0.0\n1.5,1.0,1.0\n", _traffic(_ROWS), "locations"),
+    (_LOC, _traffic(_ROWS[:3] + ["0,1,x,1.0"] + _ROWS[4:]), "traffic"),
+], ids=["id-1.5", "point-id-x"])
+def test_read_csvs_parse_errors_name_the_file(tmp_path, loc_text, traffic_text, bad):
+    # Both readers reject an unparsable number. The messages differ: the
+    # library passes on np.loadtxt's, prefixed with the file's path.
+    loc, tra = tmp_path / "locations.csv", tmp_path / "traffic.csv"
+    loc.write_text(loc_text)
+    tra.write_text(traffic_text)
+    with pytest.raises(ValueError):
+        reference_read_csvs(loc, tra, "euclidean")
+    with pytest.raises(ValueError, match="could not convert string") as got:
+        datasets.load_csv_dataset(loc, tra)
+    assert str(got.value).startswith(f"{tmp_path / (bad + '.csv')}: ")
 
 
 def test_manifest_json_round_trip():
