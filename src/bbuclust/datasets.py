@@ -13,11 +13,13 @@ Dataset kinds combine a location layout with a traffic model:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -293,18 +295,21 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     with open(out / "locations.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["id", "coord1", "coord2"])
-        for i in range(pos.shape[0]):
-            wr.writerow([i, repr(float(pos[i, 0])), repr(float(pos[i, 1]))])
+        wr.writerows(zip(range(pos.shape[0]), map(repr, pos[:, 0].tolist()),
+                         map(repr, pos[:, 1].tolist())))
     with open(out / "traffic.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["day", "hour", "point_id", "value"])
-        for day in dataset.traffic:
-            v = day.values
-            for h in range(v.shape[1]):
-                for p in range(v.shape[0]):
-                    wr.writerow([day.day_index, h, p, repr(float(v[p, h]))])
+        wr.writerows(itertools.chain.from_iterable(_traffic_rows(day) for day in dataset.traffic))
     (out / "manifest.json").write_text(dataset.manifest.to_json() + "\n")
     return out
+
+
+def _traffic_rows(day: TrafficDay) -> Iterator[tuple]:
+    """One day's CSV rows, hour by hour, then point by point, values as ``repr`` text."""
+    n, h = day.values.shape
+    return zip([day.day_index] * (n * h), np.repeat(np.arange(h), n).tolist(),
+               np.tile(np.arange(n), h).tolist(), map(repr, day.values.T.ravel().tolist()))
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
@@ -348,9 +353,31 @@ def _read_table(path: Path, row: np.dtype) -> np.ndarray:
         if header != list(row.names):
             raise ValueError(f"{path}: expected header {','.join(row.names)}, got {header}")
         try:
-            return np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1, comments=None, quotechar='"')
+            return _parse_rows(fh, row)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            line = _first_unparsable_line(path, row)
+            raise ValueError(f"{path}: {exc}" + (f" (line {line})" if line else "")) from exc
+
+
+def _parse_rows(lines, row: np.dtype) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", dtype=row, ndmin=1, comments=None, quotechar='"')
+
+
+def _first_unparsable_line(path: Path, row: np.dtype) -> int | None:
+    """The physical line number of the first data line that fails to parse on its own.
+
+    ``np.loadtxt``'s own messages count rows from the first line after the
+    header and skip blank lines, so they do not name a line of the file.
+    """
+    with open(path) as fh:
+        next(fh)  # the header
+        for k, text in enumerate(fh, start=2):
+            if text != "\n":  # loadtxt skips blank lines
+                try:
+                    _parse_rows([text], row)
+                except ValueError:
+                    return k
+    return None
 
 
 def _read_csvs(locations_path: Path, traffic_path: Path,

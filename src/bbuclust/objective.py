@@ -57,12 +57,20 @@ def cluster_sums(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(idx.ravel(), weights=values.ravel(), minlength=K * H).reshape(K, H)
 
 
-def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float) -> tuple[float, int, float]:
-    """Fast-path fitness on raw arrays: returns (f, K, mean utility)."""
-    sums = cluster_sums(labels, values)
-    K, H = sums.shape
-    sums -= 1.0
-    u_mean = float(np.abs(sums, out=sums).sum() / (K * H))
+def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
+                  dev: np.ndarray | None = None) -> tuple[float, int, float]:
+    """Fast-path fitness on raw arrays: returns (f, K, mean utility).
+
+    ``dev``, when given, must be ``|cluster_sums(labels, values) - 1|`` as a
+    C-contiguous (K, H) array; the kernel then only sums it, with the same
+    result bit for bit.
+    """
+    if dev is None:
+        dev = cluster_sums(labels, values)
+        dev -= 1.0
+        np.abs(dev, out=dev)
+    K, H = dev.shape
+    u_mean = float(dev.sum() / (K * H))
     return w * K + u_mean, K, u_mean
 
 

@@ -4,8 +4,8 @@ These deliberately avoid numpy vectorization so they share no code path with
 the library: everything is nested loops over Python lists. The exceptions are
 kept verbatim from earlier versions of the library, as the references their
 replacements must reproduce exactly: ``dense_distance``, the former dense
-N x N distance matrix, and ``reference_read_csvs``, the former row-by-row CSV
-reader.
+N x N distance matrix, ``reference_read_csvs``, the former row-by-row CSV
+reader, and ``reference_save_dataset``, the former row-by-row CSV writer.
 """
 from __future__ import annotations
 
@@ -92,6 +92,28 @@ def reference_read_csvs(locations_path: Path, traffic_path: Path,
         raise ValueError(f"{traffic_path}: missing entry for day {day}, hour {hour}, point {pid}")
     traffic = [TrafficDay(values=values[d], day_index=d) for d in range(n_days)]
     return point_set, traffic
+
+
+def reference_save_dataset(dataset, out_dir) -> Path:
+    """The row-by-row writer ``datasets.save_dataset`` must reproduce, kept verbatim."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    pos = dataset.point_set.positions
+    with open(out / "locations.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["id", "coord1", "coord2"])
+        for i in range(pos.shape[0]):
+            wr.writerow([i, repr(float(pos[i, 0])), repr(float(pos[i, 1]))])
+    with open(out / "traffic.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["day", "hour", "point_id", "value"])
+        for day in dataset.traffic:
+            v = day.values
+            for h in range(v.shape[1]):
+                for p in range(v.shape[0]):
+                    wr.writerow([day.day_index, h, p, repr(float(v[p, h]))])
+    (out / "manifest.json").write_text(dataset.manifest.to_json() + "\n")
+    return out
 
 
 def pure_fitness(labels, values, w):

@@ -1,8 +1,7 @@
-"""Smoke run of the benchmark's milan-csv workload.
+"""Smoke runs of the benchmark, judged by ``perfbench/check.py``.
 
-It covers the CSV reader, the haversine metric and the solvers end to end,
-and its results are judged by ``perfbench/check.py``, which shares no code
-with bbuclust. ``--seconds 0`` makes one pass, about 8 s on a 2-core machine.
+``check.py`` shares no code with bbuclust. ``--seconds 0`` makes one pass;
+each run below takes about 8 s on a 2-core machine.
 """
 import json
 import subprocess
@@ -12,9 +11,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_milan_csv_benchmark_pass_is_correct():
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "milan-csv",
-                          "--seed", "1", "--seconds", "0"],
+def _last_result(*args):
+    out = subprocess.run([sys.executable, "perfbench/run.py", *args, "--seed", "1",
+                          "--seconds", "0"],
                          cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
-    last = json.loads(out.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_milan_csv_benchmark_pass_is_correct():
+    # The CSV reader, the haversine metric and the solvers, end to end.
+    assert _last_result("--workload", "milan-csv")["correct"] is True
+
+
+def test_uniform_2000_traced_pass_is_correct():
+    # The N = 2000 greedy path, and the traced run's identity: fitness_parts
+    # calls = charged evaluations + the per-day re-scores.
+    assert _last_result("--workload", "uniform-2000", "--trace", "1")["correct"] is True

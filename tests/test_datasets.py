@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbuclust import datasets, model, objective
-from _oracles import dense_distance, reference_read_csvs
+from _oracles import dense_distance, reference_read_csvs, reference_save_dataset
 
 
 def test_gen_locations_random(rng):
@@ -144,6 +145,25 @@ def test_save_load_round_trip(tmp_path):
     out2 = datasets.save_dataset(loaded, tmp_path / "d2")
     for name in ("locations.csv", "traffic.csv", "manifest.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_save_dataset_matches_row_by_row_writer(tmp_path):
+    milan = datasets.make_dataset("1c-milan", seed=4, n_days=2, n_points=30)
+    planted = datasets.make_dataset("2b", seed=3, n_days=2, n_groups=3, np_max=2)
+    special = np.array([0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 5e-324, 2.2250738585072014e-308,
+                        0.9999999999999999, 1e-5])
+    rng = np.random.default_rng(8)
+    odd = dataclasses.replace(
+        milan,
+        point_set=model.build_distance_matrix(
+            rng.choice([-0.0, 0.0, -1e300, 123.456, 1e-310, -7.5], size=(30, 2))),
+        traffic=[model.TrafficDay(values=rng.choice(special, size=(30, 24)), day_index=d)
+                 for d in range(3)])
+    for i, ds in enumerate([milan, planted, odd]):
+        got = datasets.save_dataset(ds, tmp_path / f"new{i}")
+        want = reference_save_dataset(ds, tmp_path / f"old{i}")
+        for name in ("locations.csv", "traffic.csv", "manifest.json"):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
 
 
 def test_regenerate_rejects_csv_provenance(tmp_path):
@@ -316,6 +336,21 @@ def test_read_csvs_parse_errors_name_the_file(tmp_path, loc_text, traffic_text, 
     with pytest.raises(ValueError, match="could not convert string") as got:
         datasets.load_csv_dataset(loc, tra)
     assert str(got.value).startswith(f"{tmp_path / (bad + '.csv')}: ")
+
+
+@pytest.mark.parametrize("traffic_bytes, line", [
+    (b"day,hour,point_id,value\n0,0,0,0.5\n\n0,0,x,0.25\n", 4),
+    (b"day,hour,point_id,value\r\n\r\n0,0,0,0.5\r\n\r\n\r\n0,0,1\r\n", 6),
+    (b"day,hour,point_id,value\n0,0,0,0.5\n   \n0,0,1,0.25\n", 3),
+], ids=["blank-then-bad-number", "crlf-blanks-then-short-row", "whitespace-line"])
+def test_read_csvs_parse_errors_give_the_physical_line(tmp_path, traffic_bytes, line):
+    loc, tra = tmp_path / "locations.csv", tmp_path / "traffic.csv"
+    loc.write_text(_LOC)
+    tra.write_bytes(traffic_bytes)
+    with pytest.raises(ValueError) as got:
+        datasets.load_csv_dataset(loc, tra)
+    assert str(got.value).startswith(f"{tra}: ")
+    assert str(got.value).endswith(f" (line {line})")
 
 
 def test_manifest_json_round_trip():

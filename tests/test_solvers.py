@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbuclust import model, objective, solvers
 from _oracles import brute_force_best, dense_distance
@@ -174,9 +175,9 @@ def test_audit_sees_every_scored_label_array(rng, monkeypatch, solver):
     problem = model.ProblemConfig(w=0.01, tau=2.0, H=6)
     calls = []
 
-    def counting_fitness_parts(labels, values, w):
+    def counting_fitness_parts(labels, values, w, dev=None):
         calls.append(labels)
-        return objective.fitness_parts(labels, values, w)
+        return objective.fitness_parts(labels, values, w, dev)
 
     monkeypatch.setattr(solvers, "fitness_parts", counting_fitness_parts)
     seen = []
@@ -203,6 +204,88 @@ def test_run_greedy_invariants(rng):
         assert all(a >= b - 1e-12 for a, b in zip(r.trace, r.trace[1:]))
         assert model.is_feasible(r.best, ps, 2.5)
         assert r.trace[-1] >= r.best_fitness.f - 1e-12
+
+
+def test_run_greedy_deploys_its_last_committed_f_exactly(rng):
+    ps = _random_geometry(rng, 40, box=6.0)
+    traffic = _traffic_days(rng, 40, 3, hours=5)
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=5)
+    results = solvers.run_greedy(ps, traffic, 300, problem, np.random.default_rng(6),
+                                 checkpoint_every=10)
+    for r in results:
+        # The budget is a multiple of checkpoint_every, so the last trace entry
+        # is the last committed f, scored from kept rows; the deployed f is the
+        # driver's full re-score.
+        assert r.trace[-1] < r.trace[0]
+        assert r.best_fitness.f == r.trace[-1]
+
+
+def _assert_move_dev_exact(labels, values, x, k):
+    dev = np.abs(objective.cluster_sums(labels, values) - 1.0)
+    cand, got = solvers._move_dev(labels, dev, values, x, k)
+    assert cand.tolist() == solvers._move(labels, x, k).tolist()
+    want = np.abs(objective.cluster_sums(cand, values) - 1.0)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert objective.fitness_parts(cand, values, 0.01, got) == \
+        objective.fitness_parts(cand, values, 0.01)
+
+
+def _special_traffic(rng, n, h):
+    """Random traffic with exact zeros of both signs and long equal runs."""
+    values = rng.random((n, h)) * rng.choice([0.01, 0.3, 1.0])
+    special = rng.random((n, h))
+    values[special < 0.15] = 0.0
+    values[special > 0.85] = -0.0
+    values[(special > 0.5) & (special < 0.6)] = 0.1
+    return values
+
+
+@pytest.mark.parametrize("hours", [1, 3])
+def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
+    # Clusters of 1, 2, 9 and 130 members, interleaved in point order and
+    # numbered in an order other than first appearance. The moved points
+    # include each cluster's first, second and last member (so moves empty
+    # a cluster, remove its first member and make x a target's new first
+    # member), into every other cluster.
+    rng = np.random.default_rng(2022)
+    sizes = {3: 1, 1: 2, 4: 9, 2: 130}
+    labels = rng.permutation(np.repeat(list(sizes), list(sizes.values()))).astype(np.int64)
+    values = _special_traffic(rng, labels.size, hours)
+    seen = set()
+    for kx in sizes:
+        mem = np.flatnonzero(labels == kx)
+        for x in {int(mem[0]), int(mem[min(1, mem.size - 1)]), int(mem[-1])}:
+            for k in sizes:
+                if k != kx:
+                    _assert_move_dev_exact(labels, values, x, k)
+                    seen.add("empties" if mem.size == 1 else
+                             "removes-first" if x == mem[0] else "removes-later")
+                    if x < np.flatnonzero(labels == k)[0]:
+                        seen.add("new-first")
+    assert seen == {"empties", "removes-first", "removes-later", "new-first"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 400), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_move_dev_matches_full_rows(n, hours, seed, grown):
+    rng = np.random.default_rng(seed)
+    if grown:
+        # Parents straight from _initial_labels: labels in seed-draw order.
+        ps = _random_geometry(rng, n, box=float(rng.uniform(1.0, 30.0)))
+        labels = solvers._initial_labels(model.within_tau(ps, 3.0), rng)
+    else:
+        raw = rng.integers(1, int(rng.integers(2, n + 1)) + 1, size=n)
+        labels = np.unique(raw, return_inverse=True)[1].astype(np.int64) + 1  # in value order
+        if rng.random() < 0.5:
+            labels = model.renumber(labels)
+    if labels.max() < 2:
+        return
+    values = _special_traffic(rng, n, hours)
+    for _ in range(4):
+        x = int(rng.integers(n))
+        others = np.setdiff1d(np.arange(1, labels.max() + 1), [labels[x]])
+        _assert_move_dev_exact(labels, values, x, int(rng.choice(others)))
 
 
 def test_run_greedy_budget_one(rng):
