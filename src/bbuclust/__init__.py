@@ -9,7 +9,7 @@ from .forecast import (ForecastError, forecast_error, make_forecaster,
                        oracle_predict, persistence_predict)
 from .datasets import (Dataset, DatasetManifest, load_csv_dataset, load_dataset,
                        make_dataset, regenerate, save_dataset)
-from .solvers import DayResult, EaConfig, initial_pop, mutate, run_ea, run_greedy, split_population
+from .solvers import DayResult, EaConfig, run_ea, run_greedy
 from .stats import ComparisonResult, chi2_sf, friedman_nemenyi, rank_rows
 from .harness import (AlgorithmSpec, ExperimentResult, ExperimentSpec, ResultTable,
                       RunRecord, aggregate, export_curves, micro_reference_rows,
@@ -27,8 +27,7 @@ __all__ = [
     "persistence_predict",
     "Dataset", "DatasetManifest", "load_csv_dataset", "load_dataset",
     "make_dataset", "regenerate", "save_dataset",
-    "DayResult", "EaConfig", "initial_pop", "mutate", "run_ea", "run_greedy",
-    "split_population",
+    "DayResult", "EaConfig", "run_ea", "run_greedy",
     "ComparisonResult", "chi2_sf", "friedman_nemenyi", "rank_rows",
     "AlgorithmSpec", "ExperimentResult", "ExperimentSpec", "ResultTable",
     "RunRecord", "aggregate", "export_curves", "micro_reference_rows",

@@ -13,13 +13,11 @@ Dataset kinds combine a location layout with a traffic model:
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -298,18 +296,19 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         wr.writerows(zip(range(pos.shape[0]), map(repr, pos[:, 0].tolist()),
                          map(repr, pos[:, 1].tolist())))
     with open(out / "traffic.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["day", "hour", "point_id", "value"])
-        wr.writerows(itertools.chain.from_iterable(_traffic_rows(day) for day in dataset.traffic))
+        fh.write("day,hour,point_id,value\r\n")
+        for day in dataset.traffic:
+            fh.write(_traffic_text(day))
     (out / "manifest.json").write_text(dataset.manifest.to_json() + "\n")
     return out
 
 
-def _traffic_rows(day: TrafficDay) -> Iterator[tuple]:
-    """One day's CSV rows, hour by hour, then point by point, values as ``repr`` text."""
-    n, h = day.values.shape
-    return zip([day.day_index] * (n * h), np.repeat(np.arange(h), n).tolist(),
-               np.tile(np.arange(n), h).tolist(), map(repr, day.values.T.ravel().tolist()))
+def _traffic_text(day: TrafficDay) -> str:
+    """One day's CSV rows (hour, then point; values as ``repr``) as ``csv.writer`` writes them."""
+    d = day.day_index
+    return "".join([f"{d},{hour},{p},{v!r}\r\n"
+                    for hour, row in enumerate(day.values.T.tolist())
+                    for p, v in enumerate(row)])
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:

@@ -92,34 +92,39 @@ def _move(labels: np.ndarray, x: int, k: int) -> np.ndarray:
     return renumber(new)
 
 
-def _move_dev(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, x: int,
-              k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_move(labels, x, k)`` and its rows ``|cluster_sums(cand, values) - 1|``.
+def _child_dev(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, cand: np.ndarray,
+               changed: tuple[int, ...]) -> np.ndarray:
+    """The rows ``|cluster_sums(cand, values) - 1|`` of a child of ``labels``.
 
     ``dev`` holds the rows of ``labels`` (row j for label j + 1, whatever
-    order the labels were numbered in). Each candidate row is copied from its
-    parent row, found through the pre-renumber labels, except the rows of
-    k with x and of x's old cluster without x (gone if x was alone). Those two
-    are summed again from their members in ascending point order from 0.0,
-    the order ``cluster_sums``'s ``bincount`` adds in, so every row matches a
-    full recomputation byte for byte.
+    order the labels were numbered in) and ``changed`` the parent labels whose
+    clusters the child regroups; every other cluster must reappear in ``cand``
+    with the same members. Each child row is copied from the row of its
+    members' parent cluster, except the rows of the child clusters holding a
+    point of a changed cluster (at most three). Those are summed again
+    from their members in ascending point order from 0.0, the order
+    ``cluster_sums``'s ``bincount`` adds in, so every row matches a full
+    recomputation byte for byte. With nothing changed, ``dev`` is returned.
     """
-    cand = _move(labels, x, k)
-    parent = np.empty(dev.shape[0] + 1, dtype=np.int64)  # child label -> parent label
-    parent[cand] = labels
-    parent[cand[x]] = k
-    sel = np.flatnonzero((labels == k) | (labels == labels[x]))  # ascending, x included
+    if not changed:
+        return dev
+    hit = labels == changed[0]
+    for c in changed[1:]:
+        hit |= labels == c
+    sel = np.flatnonzero(hit)
     kids = cand[sel]
-    into_k = kids == cand[x]
-    rows = cluster_sums(np.where(into_k, 1, 2), values[sel])
+    touched = list(dict.fromkeys(kids.tolist()))  # the regrouped child labels
+    slot = np.empty(dev.shape[0] - len(changed) + len(touched) + 1, dtype=np.int64)
+    slot[cand] = labels  # child label -> a parent label of its members
+    out = dev.take(slot[1:] - 1, axis=0)
+    for i, t in enumerate(touched, 1):
+        slot[t] = i  # now: regrouped label -> its row in rows
+    rows = cluster_sums(slot[kids], values[sel])
     rows -= 1.0
     np.abs(rows, out=rows)
-    # The candidate has K rows, or K - 1 when x left a singleton (one row summed).
-    out = dev.take(parent[1:dev.shape[0] + rows.shape[0] - 1] - 1, axis=0)
-    out[cand[x] - 1] = rows[0]
-    if rows.shape[0] == 2:
-        out[kids[np.argmin(into_k)] - 1] = rows[1]
-    return cand, out
+    for t, row in zip(touched, rows):
+        out[t - 1] = row
+    return out
 
 
 def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -141,14 +146,18 @@ def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.
 
 
 def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Move one point (isolated points preferred) between feasible clusters."""
+                   rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Move one point (isolated points preferred) between feasible clusters.
+
+    Returns the child and the parent labels whose clusters it regroups:
+    ``(kx, k)`` when x joins cluster k, ``(kx,)`` when x is isolated,
+    ``(kx, c)`` when x pulls members of c into a new cluster and ``()`` for
+    the unchanged copy, kx being x's cluster.
+    """
     n = labels.size
     counts = np.bincount(labels)
     K = counts.size - 1
-    r = rng.random()
-    iso = np.flatnonzero(counts[labels] == 1)
-    if r < prob and iso.size:
+    if rng.random() < prob and (iso := np.flatnonzero(counts[labels] == 1)).size:
         x = int(iso[rng.integers(iso.size)])
     else:
         x = int(rng.integers(n))
@@ -157,7 +166,8 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
 
     mut_clusters = _joinable(labels, row, x, counts)
     if mut_clusters.size:
-        return _move(labels, x, int(mut_clusters[rng.integers(mut_clusters.size)]))
+        k = int(mut_clusters[rng.integers(mut_clusters.size)])
+        return _move(labels, x, k), (kx, k)
 
     # Otherwise: clusters with at least one member within tau of x.
     near = np.bincount(labels[row], minlength=K + 1)
@@ -166,15 +176,15 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
     if adjacent.size == 0:
         # Nothing reachable: x ends up isolated (a no-op if it already was).
         if counts[kx] == 1:
-            return labels.copy()
-        return _move(labels, x, K + 1)
+            return labels.copy(), ()
+        return _move(labels, x, K + 1), (kx,)
 
     c = int(adjacent[rng.integers(adjacent.size)])
     cand = row[labels[row] == c]
     num = int(rng.integers(1, cand.size + 1))
     new = labels.copy()
     _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
-    return renumber(new)
+    return renumber(new), (kx, c)
 
 
 def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -190,30 +200,6 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     new = labels.copy()
     new[picked] = counts.size
     return renumber(new)
-
-
-def initial_pop(nbrs: Sequence[np.ndarray], popsize: int,
-                rng: np.random.Generator) -> list[Clustering]:
-    """Generate popsize random feasible clusterings (unevaluated).
-
-    ``nbrs`` is the neighbour lists of :func:`~bbuclust.model.within_tau`.
-    """
-    return [Clustering(_initial_labels(nbrs, rng)) for _ in range(popsize)]
-
-
-def mutate(parent: Clustering, nbrs: Sequence[np.ndarray], prob: float,
-           rng: np.random.Generator) -> Clustering:
-    """One feasibility-preserving mutation of a parent clustering.
-
-    ``nbrs`` is the neighbour lists of :func:`~bbuclust.model.within_tau`.
-    """
-    return Clustering(_mutate_labels(parent.labels, nbrs, prob, rng))
-
-
-def split_population(population: Sequence[Clustering],
-                     rng: np.random.Generator) -> list[Clustering]:
-    """Split one random cluster in each individual (next-day diversification)."""
-    return [Clustering(_split_labels(ind.labels, rng)) for ind in population]
 
 
 def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
@@ -267,22 +253,30 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     Returns one :class:`DayResult` per day; its trace holds the best fitness
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
+
+    Each individual carries its rows ``|cluster_sums - 1|``; an offspring's
+    are built from its parent's (``_child_dev``), so it costs at most three
+    recomputed rows, and none for an unchanged copy, instead of the O(N*H)
+    kernel, with every ``f`` unchanged bit for bit.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
-        pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
+        labels = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
 
         for d, values in enumerate(values_by_day):
             if d:
                 # Seed today's population from yesterday's, with yesterday's rng.
                 if config.variant == "split":
-                    pop = [_split_labels(lab, rng) for lab in pop]
+                    labels = [_split_labels(lab, rng) for lab in labels]
                 elif config.variant == "rand":
-                    pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
+                    labels = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
-            fits = np.array([score(lab, values) for lab in pop])
+            # Individuals are (labels, rows); the rows are summed in full once a
+            # day, as the traffic is new, and built from the parent's after that.
+            pop = [(lab, np.abs(cluster_sums(lab, values) - 1.0)) for lab in labels]
+            fits = np.array([score(lab, values, dev) for lab, dev in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
@@ -290,16 +284,21 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             trace = [float(fits[0])]
 
             for _ in range(config.maxgen):
-                offspring = [_mutate_labels(lab, nbrs, config.prob, rng) for lab in pop]
-                off_fits = np.array([score(lab, values) for lab in offspring])
+                offspring = []
+                for lab, dev in pop:
+                    child, changed = _mutate_labels(lab, nbrs, config.prob, rng)
+                    offspring.append((child, _child_dev(lab, dev, values, child, changed)))
+                off_fits = np.array([score(lab, values, dev) for lab, dev in offspring])
                 evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])
                 keep = np.argsort(merged_fits, kind="stable")[: config.popsize]
                 pop = [merged[i] for i in keep]
                 fits = merged_fits[keep]
+                del merged, offspring  # the discarded offspring's rows go now
                 trace.append(float(fits[0]))
-            yield pop[0], trace, evals
+            labels = [lab for lab, _ in pop]
+            yield labels[0], trace, evals
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)
 
@@ -321,7 +320,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     evaluations, so its length is budget // checkpoint_every + 1.
 
     The committed clustering's rows ``|cluster_sums - 1|`` are kept, and each
-    candidate's are built from them (``_move_dev``), so a candidate costs two
+    candidate's are built from them (``_child_dev``), so a candidate costs two
     recomputed rows instead of the O(N*H) kernel, with every ``f`` unchanged
     bit for bit.
     """
@@ -350,7 +349,8 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                 for t_label in targets:
                     if evals >= budget:
                         break
-                    cand, cand_dev = _move_dev(labels, dev, values, x, t_label)
+                    cand = _move(labels, x, t_label)
+                    cand_dev = _child_dev(labels, dev, values, cand, (labels[x], t_label))
                     f = score(cand, values, cand_dev)
                     evals += 1
                     if f < best_f:

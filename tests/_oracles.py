@@ -5,7 +5,9 @@ the library: everything is nested loops over Python lists. The exceptions are
 kept verbatim from earlier versions of the library, as the references their
 replacements must reproduce exactly: ``dense_distance``, the former dense
 N x N distance matrix, ``reference_read_csvs``, the former row-by-row CSV
-reader, and ``reference_save_dataset``, the former row-by-row CSV writer.
+reader, ``reference_save_dataset``, the former row-by-row CSV writer, and
+``reference_run_ea``, the former EA loop that scores every individual with
+the full fitness kernel.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bbuclust import solvers
 from bbuclust.model import PointSet, TrafficDay, build_distance_matrix
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
@@ -114,6 +117,45 @@ def reference_save_dataset(dataset, out_dir) -> Path:
                     wr.writerow([day.day_index, h, p, repr(float(v[p, h]))])
     (out / "manifest.json").write_text(dataset.manifest.to_json() + "\n")
     return out
+
+
+def reference_run_ea(point_set, traffic_by_day, config, problem):
+    """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim."""
+    def search(nbrs, values_by_day, score):
+        seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
+        rng = np.random.default_rng(seeds[0])
+        pop = [solvers._initial_labels(nbrs, rng) for _ in range(config.popsize)]
+
+        for d, values in enumerate(values_by_day):
+            if d:
+                # Seed today's population from yesterday's, with yesterday's rng.
+                if config.variant == "split":
+                    pop = [solvers._split_labels(lab, rng) for lab in pop]
+                elif config.variant == "rand":
+                    pop = [solvers._initial_labels(nbrs, rng) for _ in range(config.popsize)]
+                # "copy": population carries over as-is.
+            rng = np.random.default_rng(seeds[d + 1])
+            fits = np.array([score(lab, values) for lab in pop])
+            evals = config.popsize
+            order = np.argsort(fits, kind="stable")
+            pop = [pop[i] for i in order]
+            fits = fits[order]
+            trace = [float(fits[0])]
+
+            for _ in range(config.maxgen):
+                offspring = [solvers._mutate_labels(lab, nbrs, config.prob, rng)[0]
+                             for lab in pop]
+                off_fits = np.array([score(lab, values) for lab in offspring])
+                evals += config.popsize
+                merged = pop + offspring
+                merged_fits = np.concatenate([fits, off_fits])
+                keep = np.argsort(merged_fits, kind="stable")[: config.popsize]
+                pop = [merged[i] for i in keep]
+                fits = merged_fits[keep]
+                trace.append(float(fits[0]))
+            yield pop[0], trace, evals
+
+    return solvers._solve_days(point_set, traffic_by_day, problem, search, None)
 
 
 def pure_fitness(labels, values, w):

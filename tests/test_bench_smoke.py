@@ -1,7 +1,7 @@
 """Smoke runs of the benchmark, judged by ``perfbench/check.py``.
 
 ``check.py`` shares no code with bbuclust. ``--seconds 0`` makes one pass;
-each run below takes about 8 s on a 2-core machine.
+each run below takes about 8 to 11 s on a 2-core machine.
 """
 import json
 import subprocess
@@ -21,6 +21,13 @@ def _last_result(*args):
 def test_milan_csv_benchmark_pass_is_correct():
     # The CSV reader, the haversine metric and the solvers, end to end.
     assert _last_result("--workload", "milan-csv")["correct"] is True
+
+
+def test_paper_1a_traced_pass_is_correct():
+    # The paper's 6-day setting: split reseeding between days, the traced
+    # fitness-call identity over the EA's built rows, and the check that the
+    # EA ends below greedy.
+    assert _last_result("--workload", "paper-1a", "--trace", "1")["correct"] is True
 
 
 def test_uniform_2000_traced_pass_is_correct():

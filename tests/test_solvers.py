@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbuclust import model, objective, solvers
-from _oracles import brute_force_best, dense_distance
+from _oracles import brute_force_best, dense_distance, reference_run_ea
 
 
 def _points(coords):
@@ -28,50 +28,56 @@ def test_ea_config_validation():
 
 def test_initial_pop_feasible_and_complete(rng):
     ps = _random_geometry(rng, 25)
-    pop = solvers.initial_pop(model.within_tau(ps, 3.0), popsize=12, rng=rng)
-    assert len(pop) == 12
-    for ind in pop:
+    nbrs = model.within_tau(ps, 3.0)
+    for _ in range(12):
+        ind = model.Clustering(solvers._initial_labels(nbrs, rng))
         assert ind.n_points == 25
         assert model.is_feasible(ind, ps, tau=3.0)
 
 
 def test_initial_pop_far_points_all_singletons(rng):
     ps = _points([0, 100, 200, 300])
-    pop = solvers.initial_pop(model.within_tau(ps, 1.0), popsize=5, rng=rng)
-    for ind in pop:
-        assert ind.K == 4
+    nbrs = model.within_tau(ps, 1.0)
+    for _ in range(5):
+        assert model.Clustering(solvers._initial_labels(nbrs, rng)).K == 4
 
 
 def test_initial_pop_deterministic():
     ps = _points([0, 1, 2, 3, 10, 11])
     adj = model.within_tau(ps, 2.0)
-    a = solvers.initial_pop(adj, 8, np.random.default_rng(7))
-    b = solvers.initial_pop(adj, 8, np.random.default_rng(7))
-    assert all(x.labels.tolist() == y.labels.tolist() for x, y in zip(a, b))
+    ra, rb = np.random.default_rng(7), np.random.default_rng(7)
+    a = [solvers._initial_labels(adj, ra) for _ in range(8)]
+    b = [solvers._initial_labels(adj, rb) for _ in range(8)]
+    assert all(x.tolist() == y.tolist() for x, y in zip(a, b))
 
 
 def test_mutate_merges_two_near_singletons(rng):
     ps = _points([0, 1])
-    parent = model.Clustering(labels=[1, 2])
-    child = solvers.mutate(parent, model.within_tau(ps, 2.0), prob=1.0, rng=rng)
-    assert child.K == 1
+    parent = np.array([1, 2])
+    child, changed = solvers._mutate_labels(parent, model.within_tau(ps, 2.0), prob=1.0, rng=rng)
+    assert model.Clustering(child).K == 1
+    assert sorted(changed) == [1, 2]
 
 
 def test_mutate_no_neighbors_is_noop(rng):
     ps = _points([0, 100, 200])
-    parent = model.Clustering(labels=[1, 2, 3])
+    parent = np.array([1, 2, 3])
     for _ in range(10):
-        child = solvers.mutate(parent, model.within_tau(ps, 1.0), prob=0.5, rng=rng)
-        assert child.labels.tolist() == [1, 2, 3]
+        child, changed = solvers._mutate_labels(parent, model.within_tau(ps, 1.0), prob=0.5,
+                                                rng=rng)
+        assert child.tolist() == [1, 2, 3]
+        assert child is not parent
+        assert changed == ()
 
 
 def test_mutate_escapes_single_cluster(rng):
     # With everything in one cluster there is no target cluster, so the
     # selected point is pulled out into a singleton.
     ps = _points([0, 1])
-    parent = model.Clustering(labels=[1, 1])
-    child = solvers.mutate(parent, model.within_tau(ps, 5.0), prob=0.3, rng=rng)
-    assert child.K == 2
+    parent = np.array([1, 1])
+    child, changed = solvers._mutate_labels(parent, model.within_tau(ps, 5.0), prob=0.3, rng=rng)
+    assert model.Clustering(child).K == 2
+    assert changed == (1,)
 
 
 def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
@@ -79,28 +85,29 @@ def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
         ps = _random_geometry(rng, 15, box=6.0)
         tau = 2.5
         adj = model.within_tau(ps, tau)
-        pop = solvers.initial_pop(adj, 1, rng)
-        lab = pop[0]
+        lab = solvers._initial_labels(adj, rng)
         for _ in range(60):
-            lab = solvers.mutate(lab, adj, prob=0.5, rng=rng)
+            lab, _ = solvers._mutate_labels(lab, adj, prob=0.5, rng=rng)
             # Clustering construction enforces 1..K contiguity (no empties).
-            assert model.is_feasible(lab, ps, tau)
+            assert model.is_feasible(model.Clustering(lab), ps, tau)
 
 
 def test_split_population_examples(rng):
-    singles = model.Clustering(labels=[1, 2, 3])
-    out = solvers.split_population([singles], rng)[0]
-    assert out.labels.tolist() == [1, 2, 3]  # nothing to split
+    singles = np.array([1, 2, 3])
+    out = solvers._split_labels(singles, rng)
+    assert out.tolist() == [1, 2, 3]  # nothing to split
 
-    merged = model.Clustering(labels=[1, 1, 2])
-    out = solvers.split_population([merged], rng)[0]
-    assert out.K == 3  # the only multi-member cluster splits into singletons
+    merged = np.array([1, 1, 2])
+    out = solvers._split_labels(merged, rng)
+    assert model.Clustering(out).K == 3  # the only multi-member cluster splits into singletons
 
 
 def test_split_preserves_feasibility(rng):
     ps = _random_geometry(rng, 20, box=5.0)
-    pop = solvers.initial_pop(model.within_tau(ps, 3.0), 10, rng)
-    for ind in solvers.split_population(pop, rng):
+    nbrs = model.within_tau(ps, 3.0)
+    pop = [solvers._initial_labels(nbrs, rng) for _ in range(10)]
+    for lab in pop:
+        ind = model.Clustering(solvers._split_labels(lab, rng))
         assert model.is_feasible(ind, ps, 3.0)
         assert ind.n_points == 20
 
@@ -222,7 +229,9 @@ def test_run_greedy_deploys_its_last_committed_f_exactly(rng):
 
 def _assert_move_dev_exact(labels, values, x, k):
     dev = np.abs(objective.cluster_sums(labels, values) - 1.0)
-    cand, got = solvers._move_dev(labels, dev, values, x, k)
+    cand = solvers._move(labels, x, k)
+    got = solvers._child_dev(labels, dev, values, cand, (labels[x], k))
+    # _child_dev writes into neither the parent nor the candidate labels.
     assert cand.tolist() == solvers._move(labels, x, k).tolist()
     want = np.abs(objective.cluster_sums(cand, values) - 1.0)
     assert got.shape == want.shape
@@ -286,6 +295,101 @@ def test_move_dev_matches_full_rows(n, hours, seed, grown):
         x = int(rng.integers(n))
         others = np.setdiff1d(np.arange(1, labels.max() + 1), [labels[x]])
         _assert_move_dev_exact(labels, values, x, int(rng.choice(others)))
+
+
+def _assert_mutation_dev_exact(parent, values, nbrs, prob, rng):
+    """Mutate parent, check the child's built rows, return (child, kind, regrouped sizes)."""
+    dev = np.abs(objective.cluster_sums(parent, values) - 1.0)
+    child, changed = solvers._mutate_labels(parent, nbrs, prob, rng)
+    got = solvers._child_dev(parent, dev, values, child, changed)
+    want = np.abs(objective.cluster_sums(child, values) - 1.0)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    sizes = [int((parent == c).sum()) for c in changed]
+    if not changed:
+        kind = "no-op"
+    elif len(changed) == 1:
+        kind = "isolate"
+    else:
+        # A join keeps cluster changed[1] whole; a pull leaves part of it behind.
+        kind = "join" if np.unique(child[parent == changed[1]]).size == 1 else "pull"
+    return child, kind, sizes
+
+
+def _mutation_walk(rng, n, hours, box, split, prob, steps=8):
+    """Mutations of one parent, then a chain of them; returns the kinds and sizes seen."""
+    ps = _random_geometry(rng, n, box=box)
+    nbrs = model.within_tau(ps, 3.0)
+    values = _special_traffic(rng, n, hours)
+    parent = solvers._initial_labels(nbrs, rng)  # labels in seed-draw order
+    if split:
+        parent = solvers._split_labels(parent, rng)
+    kinds, sizes = set(), []
+    for step in range(steps):
+        child, kind, sz = _assert_mutation_dev_exact(parent, values, nbrs, prob, rng)
+        kinds.add(kind)
+        sizes += sz
+        if step >= steps // 2:
+            parent = child
+    return kinds, sizes
+
+
+@pytest.mark.parametrize("hours", [1, 3])
+def test_child_dev_matches_full_rows_on_every_kind_of_mutation(hours):
+    # Dense boxes give clusters of more than 8 members (where a pairwise sum
+    # would differ from bincount's sequential one at H = 1); sparse boxes give
+    # isolated points, whose mutation is the unchanged copy.
+    rng = np.random.default_rng(2023)
+    kinds, sizes = set(), []
+    for box in (2.0, 6.0, 40.0):
+        for split in (False, True):
+            for prob in (0.0, 0.5, 1.0):
+                k, sz = _mutation_walk(rng, 120, hours, box, split, prob, steps=12)
+                kinds |= k
+                sizes += sz
+    assert kinds == {"join", "isolate", "pull", "no-op"}
+    assert max(sizes) > 8
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.floats(1.0, 40.0), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_child_dev_matches_full_rows_for_mutations(n, hours, seed, box, split, prob):
+    _mutation_walk(np.random.default_rng(seed), n, hours, box, split, prob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(solvers.VARIANTS))
+def test_run_ea_matches_the_full_kernel_loop(n, days, hours, seed, variant):
+    rng = np.random.default_rng(seed)
+    ps = _random_geometry(rng, n, box=float(rng.uniform(1.0, 20.0)))
+    traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours), day_index=d)
+               for d in range(days)]
+    problem = model.ProblemConfig(w=0.01, tau=3.0, H=hours)
+    cfg = solvers.EaConfig(popsize=int(rng.integers(1, 7)), maxgen=int(rng.integers(0, 25)),
+                           prob=float(rng.choice([0.0, 0.5, 1.0])), variant=variant,
+                           seed=int(rng.integers(1000)))
+    got = solvers.run_ea(ps, traffic, cfg, problem)
+    want = reference_run_ea(ps, traffic, cfg, problem)
+    for a, b in zip(got, want, strict=True):
+        assert a.best.labels.tolist() == b.best.labels.tolist()
+        assert a.trace == b.trace
+        assert a.best_fitness == b.best_fitness
+        assert a.evals_used == b.evals_used
+
+
+def test_run_ea_deploys_its_best_f_exactly(rng):
+    ps = _random_geometry(rng, 40, box=6.0)
+    traffic = _traffic_days(rng, 40, 3, hours=5)
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=5)
+    for variant in solvers.VARIANTS:
+        cfg = solvers.EaConfig(popsize=6, maxgen=40, variant=variant, seed=8)
+        for r in solvers.run_ea(ps, traffic, cfg, problem):
+            # The last trace entry is scored from built rows; the deployed f is
+            # the driver's full re-score.
+            assert r.trace[-1] < r.trace[0]
+            assert r.best_fitness.f == r.trace[-1]
 
 
 def test_run_greedy_budget_one(rng):
