@@ -13,7 +13,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Clustering, PointSet, ProblemConfig, TrafficDay, renumber, within_tau
+from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _relabel, renumber,
+                    within_tau)
 from .objective import FitnessValue, cluster_sums, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
@@ -67,8 +68,8 @@ class DayResult:
     evals_used: int
 
 
-def _grow(labels: np.ndarray, nbrs: Sequence[np.ndarray], seed: int, picked: Iterable[int],
-          k: int) -> None:
+def _grow(labels: np.ndarray | list[int], nbrs: Sequence[np.ndarray], seed: int,
+          picked: Iterable[int], k: int) -> None:
     """Pairwise repair: give seed label k, then each picked point within tau of all added."""
     labels[seed] = k
     common = set(nbrs[seed].tolist())  # the points within tau of every added point
@@ -78,33 +79,34 @@ def _grow(labels: np.ndarray, nbrs: Sequence[np.ndarray], seed: int, picked: Ite
             common.intersection_update(nbrs[c].tolist())
 
 
-def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: np.ndarray) -> np.ndarray:
-    """Clusters other than x's wholly within tau of x; counts = bincount(labels)."""
-    inside = np.bincount(labels[row], minlength=counts.size)
-    full = np.flatnonzero(inside[1:] == counts[1:]) + 1
-    return full[full != labels[x]]
+def _joinable(labels: np.ndarray, row: np.ndarray, kx: int, counts: np.ndarray) -> list[int]:
+    """Clusters other than kx wholly within ``row``, ascending; counts = bincount(labels)."""
+    inside: dict[int, int] = {}
+    for k in labels[row].tolist():
+        inside[k] = inside.get(k, 0) + 1
+    return sorted(k for k, m in inside.items() if k != kx and m == counts[k])
 
 
-def _move(labels: np.ndarray, x: int, k: int) -> np.ndarray:
-    """A renumbered copy of labels with point x moved to cluster k."""
+def _move(labels: np.ndarray, x: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A renumbered copy of labels with point x moved to cluster k, and ``_relabel``'s order."""
     new = labels.copy()
     new[x] = k
-    return renumber(new)
+    return _relabel(new)
 
 
 def _child_dev(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, cand: np.ndarray,
-               changed: tuple[int, ...]) -> np.ndarray:
+               changed: tuple[int, ...], order: np.ndarray | None) -> np.ndarray:
     """The rows ``|cluster_sums(cand, values) - 1|`` of a child of ``labels``.
 
     ``dev`` holds the rows of ``labels`` (row j for label j + 1, whatever
-    order the labels were numbered in) and ``changed`` the parent labels whose
-    clusters the child regroups; every other cluster must reappear in ``cand``
-    with the same members. Each child row is copied from the row of its
-    members' parent cluster, except the rows of the child clusters holding a
-    point of a changed cluster (at most three). Those are summed again
-    from their members in ascending point order from 0.0, the order
-    ``cluster_sums``'s ``bincount`` adds in, so every row matches a full
-    recomputation byte for byte. With nothing changed, ``dev`` is returned.
+    order the labels were numbered in), ``changed`` the parent labels whose
+    clusters the child regroups and ``order`` the ``_relabel`` order that made
+    ``cand``, so child row j is copied from ``dev[order[j] - 1]``. The rows of
+    the child clusters holding a point of a changed cluster (at most three,
+    one of them new) are then summed again from their members in ascending
+    point order from 0.0, the order ``cluster_sums``'s ``bincount`` adds in,
+    so every row matches a full recomputation byte for byte. With nothing
+    changed, ``dev`` is returned.
     """
     if not changed:
         return dev
@@ -112,47 +114,48 @@ def _child_dev(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, cand: np
     for c in changed[1:]:
         hit |= labels == c
     sel = np.flatnonzero(hit)
-    kids = cand[sel]
-    touched = list(dict.fromkeys(kids.tolist()))  # the regrouped child labels
-    slot = np.empty(dev.shape[0] - len(changed) + len(touched) + 1, dtype=np.int64)
-    slot[cand] = labels  # child label -> a parent label of its members
-    out = dev.take(slot[1:] - 1, axis=0)
-    for i, t in enumerate(touched, 1):
-        slot[t] = i  # now: regrouped label -> its row in rows
-    rows = cluster_sums(slot[kids], values[sel])
-    rows -= 1.0
-    np.abs(rows, out=rows)
-    for t, row in zip(touched, rows):
-        out[t - 1] = row
+    members: dict[int, list[int]] = {}  # regrouped child label -> its points, ascending
+    for p, t in zip(sel.tolist(), cand[sel].tolist()):
+        members.setdefault(t, []).append(p)
+    out = dev.take(order - 1, axis=0, mode="clip")  # a new cluster's row is clipped
+    for t, (first, *rest) in members.items():
+        row = values[first] + 0.0
+        for p in rest:
+            row += values[p]
+        row -= 1.0
+        out[t - 1] = np.abs(row, out=row)
     return out
 
 
 def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Grow random feasible clusters until every point is assigned."""
-    labels = np.zeros(len(nbrs), dtype=np.int64)
+    """Grow random feasible clusters until every point is assigned (labels in a list)."""
+    labels = [0] * len(nbrs)
     pool = list(range(len(nbrs)))  # the unassigned points, ascending
     k = 0
     while pool:
         r = pool[rng.integers(len(pool))]
         k += 1
-        row = nbrs[r]
-        close = row[(labels[row] == 0) & (row != r)]
-        num = int(rng.integers(0, close.size + 1)) if close.size else 0
-        picked = rng.choice(close, size=num, replace=False).tolist() if num else []
+        close = [c for c in nbrs[r].tolist() if not labels[c] and c != r]
+        num = int(rng.integers(0, len(close) + 1)) if close else 0
+        # Drawing positions in close takes the same draws as drawing from close.
+        drawn = rng.choice(len(close), size=num, replace=False).tolist() if num else []
+        picked = [close[i] for i in drawn]
         _grow(labels, nbrs, r, picked, k)
         for a in [r, *(c for c in picked if labels[c] == k)]:  # the points just assigned
             del pool[bisect_left(pool, a)]
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
-                   rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, ...]]:
+                   rng: np.random.Generator
+                   ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
     """Move one point (isolated points preferred) between feasible clusters.
 
-    Returns the child and the parent labels whose clusters it regroups:
-    ``(kx, k)`` when x joins cluster k, ``(kx,)`` when x is isolated,
-    ``(kx, c)`` when x pulls members of c into a new cluster and ``()`` for
-    the unchanged copy, kx being x's cluster.
+    Returns the child, the parent labels whose clusters it regroups and the
+    order of its relabel (see ``_relabel``; None for the unchanged copy).
+    The labels are ``(kx, k)`` when x joins cluster k, ``(kx,)`` when x is
+    isolated, ``(kx, c)`` when x pulls members of c into a new cluster and
+    ``()`` for the unchanged copy, kx being x's cluster.
     """
     n = labels.size
     counts = np.bincount(labels)
@@ -163,28 +166,26 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
         x = int(rng.integers(n))
     kx = int(labels[x])
     row = nbrs[x]
-
-    mut_clusters = _joinable(labels, row, x, counts)
-    if mut_clusters.size:
-        k = int(mut_clusters[rng.integers(mut_clusters.size)])
-        return _move(labels, x, k), (kx, k)
-
-    # Otherwise: clusters with at least one member within tau of x.
-    near = np.bincount(labels[row], minlength=K + 1)
-    near[kx] = 0
-    adjacent = np.flatnonzero(near[1:] > 0) + 1
-    if adjacent.size == 0:
-        # Nothing reachable: x ends up isolated (a no-op if it already was).
-        if counts[kx] == 1:
-            return labels.copy(), ()
-        return _move(labels, x, K + 1), (kx,)
-
-    c = int(adjacent[rng.integers(adjacent.size)])
-    cand = row[labels[row] == c]
-    num = int(rng.integers(1, cand.size + 1))
     new = labels.copy()
-    _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
-    return renumber(new), (kx, c)
+    # A point with no neighbour can neither join nor pull: it skips both tallies.
+    joinable = _joinable(labels, row, kx, counts) if row.size > 1 else []
+    # Failing a join: the clusters with at least one member within tau of x.
+    adjacent = [] if joinable or row.size == 1 else sorted(set(labels[row].tolist()) - {kx})
+    if joinable:
+        k = joinable[rng.integers(len(joinable))]
+        new[x], changed = k, (kx, k)
+    elif adjacent:
+        c = adjacent[rng.integers(len(adjacent))]
+        cand = row[labels[row] == c]
+        num = int(rng.integers(1, cand.size + 1))
+        _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
+        changed = (kx, c)
+    elif counts[kx] == 1:  # nothing reachable and x already alone: the unchanged copy
+        return new, (), None
+    else:  # nothing reachable: x is isolated
+        new[x], changed = K + 1, (kx,)
+    child, order = _relabel(new)
+    return child, changed, order
 
 
 def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -286,8 +287,9 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             for _ in range(config.maxgen):
                 offspring = []
                 for lab, dev in pop:
-                    child, changed = _mutate_labels(lab, nbrs, config.prob, rng)
-                    offspring.append((child, _child_dev(lab, dev, values, child, changed)))
+                    child, changed, order = _mutate_labels(lab, nbrs, config.prob, rng)
+                    offspring.append((child, _child_dev(lab, dev, values, child, changed,
+                                                        order)))
                 off_fits = np.array([score(lab, values, dev) for lab, dev in offspring])
                 evals += config.popsize
                 merged = pop + offspring
@@ -340,7 +342,8 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             evals = 0
             while evals < budget:
                 x = int(rng.integers(n))
-                targets = _joinable(labels, nbrs[x], x, np.bincount(labels))
+                kx = int(labels[x])
+                targets = _joinable(labels, nbrs[x], kx, np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
                 best_f = score(labels, values, dev)
@@ -349,8 +352,8 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                 for t_label in targets:
                     if evals >= budget:
                         break
-                    cand = _move(labels, x, t_label)
-                    cand_dev = _child_dev(labels, dev, values, cand, (labels[x], t_label))
+                    cand, order = _move(labels, x, t_label)
+                    cand_dev = _child_dev(labels, dev, values, cand, (kx, t_label), order)
                     f = score(cand, values, cand_dev)
                     evals += 1
                     if f < best_f:

@@ -7,18 +7,22 @@ replacements must reproduce exactly: ``dense_distance``, the former dense
 N x N distance matrix, ``reference_read_csvs``, the former row-by-row CSV
 reader, ``reference_save_dataset``, the former row-by-row CSV writer, and
 ``reference_run_ea``, the former EA loop that scores every individual with
-the full fitness kernel.
+the full fitness kernel, and the candidate operators ``_initial_labels``,
+``_grow``, ``_joinable``, ``_move`` and ``_mutate_labels`` as they were before
+they were rewritten without changing a draw or a label.
 """
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from bbuclust import solvers
-from bbuclust.model import PointSet, TrafficDay, build_distance_matrix
+from bbuclust.model import PointSet, TrafficDay, build_distance_matrix, renumber
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
 
@@ -119,12 +123,100 @@ def reference_save_dataset(dataset, out_dir) -> Path:
     return out
 
 
+def _grow(labels: np.ndarray, nbrs: Sequence[np.ndarray], seed: int, picked: Iterable[int],
+          k: int) -> None:
+    """Pairwise repair: give seed label k, then each picked point within tau of all added."""
+    labels[seed] = k
+    common = set(nbrs[seed].tolist())  # the points within tau of every added point
+    for c in picked:
+        if c in common:
+            labels[c] = k
+            common.intersection_update(nbrs[c].tolist())
+
+
+def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: np.ndarray) -> np.ndarray:
+    """Clusters other than x's wholly within tau of x; counts = bincount(labels)."""
+    inside = np.bincount(labels[row], minlength=counts.size)
+    full = np.flatnonzero(inside[1:] == counts[1:]) + 1
+    return full[full != labels[x]]
+
+
+def _move(labels: np.ndarray, x: int, k: int) -> np.ndarray:
+    """A renumbered copy of labels with point x moved to cluster k."""
+    new = labels.copy()
+    new[x] = k
+    return renumber(new)
+
+
+def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+    """Grow random feasible clusters until every point is assigned."""
+    labels = np.zeros(len(nbrs), dtype=np.int64)
+    pool = list(range(len(nbrs)))  # the unassigned points, ascending
+    k = 0
+    while pool:
+        r = pool[rng.integers(len(pool))]
+        k += 1
+        row = nbrs[r]
+        close = row[(labels[row] == 0) & (row != r)]
+        num = int(rng.integers(0, close.size + 1)) if close.size else 0
+        picked = rng.choice(close, size=num, replace=False).tolist() if num else []
+        _grow(labels, nbrs, r, picked, k)
+        for a in [r, *(c for c in picked if labels[c] == k)]:  # the points just assigned
+            del pool[bisect_left(pool, a)]
+    return labels
+
+
+def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
+                   rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Move one point (isolated points preferred) between feasible clusters.
+
+    Returns the child and the parent labels whose clusters it regroups:
+    ``(kx, k)`` when x joins cluster k, ``(kx,)`` when x is isolated,
+    ``(kx, c)`` when x pulls members of c into a new cluster and ``()`` for
+    the unchanged copy, kx being x's cluster.
+    """
+    n = labels.size
+    counts = np.bincount(labels)
+    K = counts.size - 1
+    if rng.random() < prob and (iso := np.flatnonzero(counts[labels] == 1)).size:
+        x = int(iso[rng.integers(iso.size)])
+    else:
+        x = int(rng.integers(n))
+    kx = int(labels[x])
+    row = nbrs[x]
+
+    mut_clusters = _joinable(labels, row, x, counts)
+    if mut_clusters.size:
+        k = int(mut_clusters[rng.integers(mut_clusters.size)])
+        return _move(labels, x, k), (kx, k)
+
+    # Otherwise: clusters with at least one member within tau of x.
+    near = np.bincount(labels[row], minlength=K + 1)
+    near[kx] = 0
+    adjacent = np.flatnonzero(near[1:] > 0) + 1
+    if adjacent.size == 0:
+        # Nothing reachable: x ends up isolated (a no-op if it already was).
+        if counts[kx] == 1:
+            return labels.copy(), ()
+        return _move(labels, x, K + 1), (kx,)
+
+    c = int(adjacent[rng.integers(adjacent.size)])
+    cand = row[labels[row] == c]
+    num = int(rng.integers(1, cand.size + 1))
+    new = labels.copy()
+    _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
+    return renumber(new), (kx, c)
+
+
 def reference_run_ea(point_set, traffic_by_day, config, problem):
-    """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim."""
+    """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim
+    except that it seeds and mutates through the frozen operators above, so
+    drift in the live ones shows here too.
+    """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
-        pop = [solvers._initial_labels(nbrs, rng) for _ in range(config.popsize)]
+        pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
 
         for d, values in enumerate(values_by_day):
             if d:
@@ -132,7 +224,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
                 if config.variant == "split":
                     pop = [solvers._split_labels(lab, rng) for lab in pop]
                 elif config.variant == "rand":
-                    pop = [solvers._initial_labels(nbrs, rng) for _ in range(config.popsize)]
+                    pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
             fits = np.array([score(lab, values) for lab in pop])
@@ -143,7 +235,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
             trace = [float(fits[0])]
 
             for _ in range(config.maxgen):
-                offspring = [solvers._mutate_labels(lab, nbrs, config.prob, rng)[0]
+                offspring = [_mutate_labels(lab, nbrs, config.prob, rng)[0]
                              for lab in pop]
                 off_fits = np.array([score(lab, values) for lab in offspring])
                 evals += config.popsize

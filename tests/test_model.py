@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bbuclust import harness, model
 from _oracles import dense_distance, feasible, pure_renumber
@@ -118,10 +118,29 @@ def test_renumber_matches_first_appearance_oracle(raw, repeat):
     assert model.renumber(out).tolist() == out.tolist()
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=80), st.integers(1, 50))
+@example([7], 1)  # N = 1
+@example([3, 3, 3, 3], 5)  # a single label
+@example([9, 2, 30, 2, 9], 1)  # gaps
+def test_relabel_is_renumber_and_returns_its_order(raw, scale):
+    labels = np.array(raw, dtype=np.int64) * scale
+    relabelled, order = model._relabel(labels)
+    assert relabelled.tolist() == model.renumber(labels).tolist()
+    assert (order[relabelled - 1] == labels).all()
+    assert order.tolist() == [v * scale for v in dict.fromkeys(raw)]  # first appearance
+
+
 def test_renumber_rejects_labels_below_one():
     for bad in ([0, 1, 2], [3, -1], [-5]):
         with pytest.raises(ValueError, match="start at 1"):
             model.renumber(np.array(bad))
+
+
+def test_renumber_of_no_labels_is_empty():
+    out = model.renumber(np.array([], dtype=np.int64))
+    assert out.dtype == np.int64 and out.size == 0
 
 
 @st.composite

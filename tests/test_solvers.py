@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbuclust import model, objective, solvers
+import _oracles
 from _oracles import brute_force_best, dense_distance, reference_run_ea
 
 
@@ -54,20 +55,23 @@ def test_initial_pop_deterministic():
 def test_mutate_merges_two_near_singletons(rng):
     ps = _points([0, 1])
     parent = np.array([1, 2])
-    child, changed = solvers._mutate_labels(parent, model.within_tau(ps, 2.0), prob=1.0, rng=rng)
+    child, changed, order = solvers._mutate_labels(parent, model.within_tau(ps, 2.0), prob=1.0,
+                                                   rng=rng)
     assert model.Clustering(child).K == 1
     assert sorted(changed) == [1, 2]
+    assert order.tolist() == [changed[1]]
 
 
 def test_mutate_no_neighbors_is_noop(rng):
     ps = _points([0, 100, 200])
     parent = np.array([1, 2, 3])
     for _ in range(10):
-        child, changed = solvers._mutate_labels(parent, model.within_tau(ps, 1.0), prob=0.5,
-                                                rng=rng)
+        child, changed, order = solvers._mutate_labels(parent, model.within_tau(ps, 1.0),
+                                                       prob=0.5, rng=rng)
         assert child.tolist() == [1, 2, 3]
         assert child is not parent
         assert changed == ()
+        assert order is None
 
 
 def test_mutate_escapes_single_cluster(rng):
@@ -75,9 +79,11 @@ def test_mutate_escapes_single_cluster(rng):
     # selected point is pulled out into a singleton.
     ps = _points([0, 1])
     parent = np.array([1, 1])
-    child, changed = solvers._mutate_labels(parent, model.within_tau(ps, 5.0), prob=0.3, rng=rng)
+    child, changed, order = solvers._mutate_labels(parent, model.within_tau(ps, 5.0), prob=0.3,
+                                                   rng=rng)
     assert model.Clustering(child).K == 2
     assert changed == (1,)
+    assert sorted(order.tolist()) == [1, 2]  # x's new cluster is numbered K + 1 = 2 first
 
 
 def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
@@ -87,9 +93,80 @@ def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
         adj = model.within_tau(ps, tau)
         lab = solvers._initial_labels(adj, rng)
         for _ in range(60):
-            lab, _ = solvers._mutate_labels(lab, adj, prob=0.5, rng=rng)
+            lab, _, _ = solvers._mutate_labels(lab, adj, prob=0.5, rng=rng)
             # Clustering construction enforces 1..K contiguity (no empties).
             assert model.is_feasible(model.Clustering(lab), ps, tau)
+
+
+
+def _blobs_and_loners(rng, n, box):
+    """Points in tight groups (dense, like ``2b``) and points spread over a box."""
+    centres = rng.uniform(0.0, box, size=(int(rng.integers(1, 6)), 2))
+    grouped = centres[rng.integers(centres.shape[0], size=n)] + rng.normal(0.0, 0.3, (n, 2))
+    spread = rng.uniform(0.0, box, size=(n, 2))
+    return model.build_distance_matrix(np.where(rng.random((n, 1)) < 0.5, grouped, spread))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.floats(1.0, 60.0), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_operators_match_their_frozen_versions(n, hours, seed, box, split, prob):
+    # Every label array, every reported regrouping and every draw (the
+    # generator state after each call) must equal the operators' frozen
+    # versions; the rows built from the child's relabel order must equal a
+    # full recomputation.
+    rng = np.random.default_rng(seed)
+    nbrs = model.within_tau(_blobs_and_loners(rng, n, box), 3.0)
+    values = _special_traffic(rng, n, hours)
+    live, frozen = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+    def same_draws():
+        assert live.bit_generator.state == frozen.bit_generator.state
+
+    parent = solvers._initial_labels(nbrs, live)  # labels in seed-draw order
+    want = _oracles._initial_labels(nbrs, frozen)
+    assert parent.dtype == want.dtype and parent.tolist() == want.tolist()
+    same_draws()
+    if split:
+        parent = solvers._split_labels(parent, live)
+        solvers._split_labels(want, frozen)
+    for step in range(10):
+        dev = np.abs(objective.cluster_sums(parent, values) - 1.0)
+        child, changed, order = solvers._mutate_labels(parent, nbrs, prob, live)
+        want, want_changed = _oracles._mutate_labels(parent, nbrs, prob, frozen)
+        assert child.dtype == want.dtype and child.tolist() == want.tolist()
+        assert changed == want_changed
+        same_draws()
+        if changed:
+            kept = ~np.isin(parent, changed)
+            assert (order[child - 1][kept] == parent[kept]).all()
+        else:
+            assert order is None
+        got = solvers._child_dev(parent, dev, values, child, changed, order)
+        assert got.tobytes() == np.abs(objective.cluster_sums(child, values) - 1.0).tobytes()
+        if step % 2:
+            parent = child
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
+def test_joinable_matches_its_bincount_version(n, seed, alone):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, int(rng.integers(1, n + 1)) + 1, size=n)
+    labels = np.unique(labels, return_inverse=True)[1].astype(np.int64) + 1
+    if rng.random() < 0.5:
+        labels = model.renumber(labels)
+    counts = np.bincount(labels)
+    x = int(rng.integers(n))
+    others = np.flatnonzero(rng.random(n) < rng.random())
+    row = np.array([x]) if alone else np.union1d(others, [x])  # ascending, holds x
+    kx = int(labels[x])
+    got = solvers._joinable(labels, row, kx, counts)
+    assert got == _oracles._joinable(labels, row, x, counts).tolist()
+    assert got == sorted(got) and kx not in got
+    assert all(set(np.flatnonzero(labels == k).tolist()) <= set(row.tolist()) for k in got)
+    if alone:
+        assert got == []
 
 
 def test_split_population_examples(rng):
@@ -229,10 +306,12 @@ def test_run_greedy_deploys_its_last_committed_f_exactly(rng):
 
 def _assert_move_dev_exact(labels, values, x, k):
     dev = np.abs(objective.cluster_sums(labels, values) - 1.0)
-    cand = solvers._move(labels, x, k)
-    got = solvers._child_dev(labels, dev, values, cand, (labels[x], k))
+    cand, order = solvers._move(labels, x, k)
+    got = solvers._child_dev(labels, dev, values, cand, (labels[x], k), order)
     # _child_dev writes into neither the parent nor the candidate labels.
-    assert cand.tolist() == solvers._move(labels, x, k).tolist()
+    assert cand.tolist() == solvers._move(labels, x, k)[0].tolist()
+    assert cand.tolist() == _oracles._move(labels, x, k).tolist()  # the frozen version
+    assert (order[cand - 1] == np.where(np.arange(labels.size) == x, k, labels)).all()
     want = np.abs(objective.cluster_sums(cand, values) - 1.0)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -300,8 +379,8 @@ def test_move_dev_matches_full_rows(n, hours, seed, grown):
 def _assert_mutation_dev_exact(parent, values, nbrs, prob, rng):
     """Mutate parent, check the child's built rows, return (child, kind, regrouped sizes)."""
     dev = np.abs(objective.cluster_sums(parent, values) - 1.0)
-    child, changed = solvers._mutate_labels(parent, nbrs, prob, rng)
-    got = solvers._child_dev(parent, dev, values, child, changed)
+    child, changed, order = solvers._mutate_labels(parent, nbrs, prob, rng)
+    got = solvers._child_dev(parent, dev, values, child, changed, order)
     want = np.abs(objective.cluster_sums(child, values) - 1.0)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
