@@ -262,16 +262,10 @@ def renumber(labels: np.ndarray) -> np.ndarray:
         return lab.copy()
     if lab.min() < 1:
         raise ValueError("cluster labels start at 1")
-    return _relabel(lab)[0]
-
-
-def _relabel(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``renumber`` of a non-empty int64 array of positive labels, unchecked, and
-    its order: new label j + 1 was old label ``order[j]``."""
     pos = np.arange(lab.size)
     first = np.full(int(lab.max()) + 1, lab.size, dtype=np.int64)
     np.minimum.at(first, lab, pos)
     order = lab[first[lab] == pos]  # each label once, in first-appearance order
     rank = np.empty_like(first)
     rank[order] = np.arange(1, order.size + 1)
-    return rank[lab], order
+    return rank[lab]

@@ -13,8 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _relabel, renumber,
-                    within_tau)
+from .model import Clustering, PointSet, ProblemConfig, TrafficDay, renumber, within_tau
 from .objective import FitnessValue, cluster_sums, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
@@ -69,62 +68,82 @@ class DayResult:
 
 
 def _grow(labels: np.ndarray | list[int], nbrs: Sequence[np.ndarray], seed: int,
-          picked: Iterable[int], k: int) -> None:
-    """Pairwise repair: give seed label k, then each picked point within tau of all added."""
+          picked: Iterable[int], k: int) -> list[int]:
+    """Pairwise repair: label seed k, then each picked point within tau of all added (returned)."""
     labels[seed] = k
     common = set(nbrs[seed].tolist())  # the points within tau of every added point
     for c in picked:
         if c in common:
             labels[c] = k
             common.intersection_update(nbrs[c].tolist())
+    return [c for c in picked if labels[c] == k]  # no picked point had label k before
 
 
-def _joinable(labels: np.ndarray, row: np.ndarray, kx: int, counts: np.ndarray) -> list[int]:
-    """Clusters other than kx wholly within ``row``, ascending; counts = bincount(labels)."""
-    inside: dict[int, int] = {}
-    for k in labels[row].tolist():
-        inside[k] = inside.get(k, 0) + 1
-    return sorted(k for k, m in inside.items() if k != kx and m == counts[k])
+def _joinable(labels: np.ndarray, row: np.ndarray, kx: int, counts: np.ndarray
+              ) -> tuple[list[int], dict[int, list[int]]]:
+    """Clusters other than kx wholly within ``row``, ascending (counts =
+    bincount(labels)), and the points of ``row`` by label, each ascending."""
+    inside: dict[int, list[int]] = {}
+    for p, k in zip(row.tolist(), labels[row].tolist()):
+        if k in inside:
+            inside[k].append(p)
+        else:
+            inside[k] = [p]
+    return sorted(k for k, mem in inside.items() if k != kx and len(mem) == counts[k]), inside
 
 
-def _move(labels: np.ndarray, x: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A renumbered copy of labels with point x moved to cluster k, and ``_relabel``'s order."""
+def _join(labels: np.ndarray, x: int, k: int, inside: dict[int, list[int]]
+          ) -> tuple[np.ndarray, list[tuple]]:
+    """``labels`` with x moved into cluster k, and its regrouping; ``inside`` is x's row."""
     new = labels.copy()
-    new[x] = k
-    return _relabel(new)
+    kx, new[x] = int(labels[x]), k
+    mx, mk = inside[kx], inside[k]
+    return new, [(kx, [p for p in mx if p != x], mx[0]), (k, sorted([*mk, x]), mk[0])]
 
 
-def _child_dev(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, cand: np.ndarray,
-               changed: tuple[int, ...], order: np.ndarray | None) -> np.ndarray:
-    """The rows ``|cluster_sums(cand, values) - 1|`` of a child of ``labels``.
+def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.ndarray,
+             groups: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """``renumber(new)`` and its rows ``|cluster_sums - 1|``, built from the parent's.
 
-    ``dev`` holds the rows of ``labels`` (row j for label j + 1, whatever
-    order the labels were numbered in), ``changed`` the parent labels whose
-    clusters the child regroups and ``order`` the ``_relabel`` order that made
-    ``cand``, so child row j is copied from ``dev[order[j] - 1]``. The rows of
-    the child clusters holding a point of a changed cluster (at most three,
-    one of them new) are then summed again from their members in ascending
-    point order from 0.0, the order ``cluster_sums``'s ``bincount`` adds in,
-    so every row matches a full recomputation byte for byte. With nothing
-    changed, ``dev`` is returned.
+    ``labels`` (in first-appearance order, rows ``dev``) becomes ``new`` by
+    regrouping ``groups``: (label in ``new``, K + 1 if new; members, ascending;
+    first member in ``labels`` or -1). The other clusters keep their order:
+    their rows are copied in blocks, their labels shift per block. A cluster
+    now starting at p follows the ``labels[:p].max()`` parent clusters that
+    start before p (r - 1 if cluster r keeps its first member). Its row is
+    summed in point order, as the ``bincount`` adds, starting from its first
+    member, not 0.0: that changes only a zero sum's sign, which |S - 1| loses.
     """
-    if not changed:
-        return dev
-    hit = labels == changed[0]
-    for c in changed[1:]:
-        hit |= labels == c
-    sel = np.flatnonzero(hit)
-    members: dict[int, list[int]] = {}  # regrouped child label -> its points, ascending
-    for p, t in zip(sel.tolist(), cand[sel].tolist()):
-        members.setdefault(t, []).append(p)
-    out = dev.take(order - 1, axis=0, mode="clip")  # a new cluster's row is clipped
-    for t, (first, *rest) in members.items():
-        row = values[first] + 0.0
-        for p in rest:
-            row += values[p]
-        row -= 1.0
-        out[t - 1] = np.abs(row, out=row)
-    return out
+    K, n = dev.shape[0], labels.size
+    # (parent rows before it, tie break, parent rows consumed, label, members): each
+    # regrouped parent cluster drops its row, the last event copies the rows left.
+    events = [(r - 1, n, r, r, []) for r, _, _ in groups if r <= K] + [(K, n, K, 0, [])]
+    for r, mem, first in groups:
+        if mem:
+            m = r - 1 if mem[0] == first else int(labels[:mem[0]].max()) if mem[0] else 0
+            events.append((m, mem[0], m, r, mem))
+    pieces, blocks, placed, lo, size = [], [], [], 0, 0  # blocks: (row, end, label shift)
+    for start, _, end, r, mem in sorted(events):
+        if lo < start:
+            pieces.append(dev[lo:start])
+            blocks.append((lo, start, size - lo))
+            size += start - lo
+        lo = end
+        if mem:
+            row = (values[mem[0]:mem[0] + 1] if len(mem) == 1 else
+                   np.add.accumulate(values.take(mem, axis=0), axis=0)[-1:]) - 1.0
+            pieces.append(np.abs(row, out=row))
+            size += 1
+            placed.append((r, size))
+    blocks = [(a, b, shift) for a, b, shift in blocks if shift]
+    if not blocks and all(r == lab for r, lab in placed):
+        return new, np.concatenate(pieces)
+    rank = np.arange(K + 2)
+    for a, b, shift in blocks:
+        rank[a + 1:b + 1] += shift
+    for r, lab in placed:
+        rank[r] = lab
+    return rank[new], np.concatenate(pieces)
 
 
 def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
@@ -139,53 +158,42 @@ def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.
         num = int(rng.integers(0, len(close) + 1)) if close else 0
         # Drawing positions in close takes the same draws as drawing from close.
         drawn = rng.choice(len(close), size=num, replace=False).tolist() if num else []
-        picked = [close[i] for i in drawn]
-        _grow(labels, nbrs, r, picked, k)
-        for a in [r, *(c for c in picked if labels[c] == k)]:  # the points just assigned
+        for a in [r, *_grow(labels, nbrs, r, [close[i] for i in drawn], k)]:
             del pool[bisect_left(pool, a)]
     return np.array(labels, dtype=np.int64)
 
 
 def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
-                   rng: np.random.Generator
-                   ) -> tuple[np.ndarray, tuple[int, ...], np.ndarray | None]:
-    """Move one point (isolated points preferred) between feasible clusters.
+                   rng: np.random.Generator) -> tuple[np.ndarray, list[tuple]]:
+    """Move one point x (isolated points preferred) between feasible clusters.
 
-    Returns the child, the parent labels whose clusters it regroups and the
-    order of its relabel (see ``_relabel``; None for the unchanged copy).
-    The labels are ``(kx, k)`` when x joins cluster k, ``(kx,)`` when x is
-    isolated, ``(kx, c)`` when x pulls members of c into a new cluster and
-    ``()`` for the unchanged copy, kx being x's cluster.
+    Returns the child before renumbering (a new cluster is K + 1) and the
+    clusters it regroups for ``_regroup``: none for the unchanged copy, else
+    x's own, then the one x joins, or the one x pulls from and the new one.
     """
-    n = labels.size
-    counts = np.bincount(labels)
-    K = counts.size - 1
+    counts = np.bincount(labels)  # its length, K + 1, is a new cluster's label
     if rng.random() < prob and (iso := np.flatnonzero(counts[labels] == 1)).size:
         x = int(iso[rng.integers(iso.size)])
     else:
-        x = int(rng.integers(n))
+        x = int(rng.integers(labels.size))
     kx = int(labels[x])
-    row = nbrs[x]
-    new = labels.copy()
-    # A point with no neighbour can neither join nor pull: it skips both tallies.
-    joinable = _joinable(labels, row, kx, counts) if row.size > 1 else []
-    # Failing a join: the clusters with at least one member within tau of x.
-    adjacent = [] if joinable or row.size == 1 else sorted(set(labels[row].tolist()) - {kx})
+    joinable, inside = _joinable(labels, nbrs[x], kx, counts)
     if joinable:
-        k = joinable[rng.integers(len(joinable))]
-        new[x], changed = k, (kx, k)
-    elif adjacent:
+        return _join(labels, x, joinable[rng.integers(len(joinable))], inside)
+    new, mx = labels.copy(), inside[kx]
+    rest = (kx, [p for p in mx if p != x], mx[0])
+    # Failing a join: the clusters with at least one member within tau of x.
+    if adjacent := sorted(k for k in inside if k != kx):
         c = adjacent[rng.integers(len(adjacent))]
-        cand = row[labels[row] == c]
-        num = int(rng.integers(1, cand.size + 1))
-        _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
-        changed = (kx, c)
-    elif counts[kx] == 1:  # nothing reachable and x already alone: the unchanged copy
-        return new, (), None
-    else:  # nothing reachable: x is isolated
-        new[x], changed = K + 1, (kx,)
-    child, order = _relabel(new)
-    return child, changed, order
+        num = int(rng.integers(1, len(inside[c]) + 1))
+        pulled = _grow(new, nbrs, x, rng.choice(inside[c], size=num, replace=False), counts.size)
+        mc = np.flatnonzero(labels == c).tolist()  # c is not wholly within the row
+        return new, [rest, (c, [p for p in mc if p not in pulled], mc[0]),
+                     (counts.size, sorted([x, *pulled]), -1)]
+    if len(mx) == 1:  # nothing reachable and x already alone: the unchanged copy
+        return new, []
+    new[x] = counts.size  # nothing reachable: x is isolated
+    return new, [rest, (counts.size, [x], -1)]
 
 
 def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -206,13 +214,10 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
                 problem: ProblemConfig, search: DaySearch,
                 audit: AuditHook | None) -> list[DayResult]:
-    """The day driver both solvers share.
-
-    Checks the traffic against the point set and ``problem.H``, builds
-    ``within_tau`` once, runs ``search`` over the days with the one scorer every
-    candidate passes through (it calls ``audit`` first, when set) and
-    re-scores each day's deployed labels (an uncharged evaluation) into a
-    :class:`DayResult`.
+    """The day driver both solvers share: checks the traffic against the point set
+    and ``problem.H``, builds ``within_tau`` once, runs ``search`` over the days with
+    the one scorer every candidate passes through (it calls ``audit`` first, when
+    set) and re-scores each day's deployed labels (uncharged) into a :class:`DayResult`.
     """
     if len(traffic_by_day) == 0:
         raise ValueError("traffic_by_day is empty")
@@ -256,9 +261,8 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     and ``evals_used`` is popsize * (maxgen + 1).
 
     Each individual carries its rows ``|cluster_sums - 1|``; an offspring's
-    are built from its parent's (``_child_dev``), so it costs at most three
-    recomputed rows, and none for an unchanged copy, instead of the O(N*H)
-    kernel, with every ``f`` unchanged bit for bit.
+    are built from its parent's (``_regroup``), at most three summed again,
+    except a seed individual's, which is renumbered and summed in full.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -274,10 +278,11 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                     labels = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
-            # Individuals are (labels, rows); the rows are summed in full once a
-            # day, as the traffic is new, and built from the parent's after that.
-            pop = [(lab, np.abs(cluster_sums(lab, values) - 1.0)) for lab in labels]
-            fits = np.array([score(lab, values, dev) for lab, dev in pop])
+            # (labels, rows summed in full once a day, labels in first-appearance order)
+            pop = [(lab, np.abs(cluster_sums(lab, values) - 1.0),
+                    np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1)
+                   for lab in labels]
+            fits = np.array([score(lab, values, dev) for lab, dev, _ in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
@@ -286,11 +291,16 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
 
             for _ in range(config.maxgen):
                 offspring = []
-                for lab, dev in pop:
-                    child, changed, order = _mutate_labels(lab, nbrs, config.prob, rng)
-                    offspring.append((child, _child_dev(lab, dev, values, child, changed,
-                                                        order)))
-                off_fits = np.array([score(lab, values, dev) for lab, dev in offspring])
+                for lab, dev, canon in pop:
+                    new, groups = _mutate_labels(lab, nbrs, config.prob, rng)
+                    if not groups:
+                        offspring.append((new, dev, canon))
+                    elif canon:
+                        offspring.append((*_regroup(lab, dev, values, new, groups), True))
+                    else:  # a seed individual's child: renumbered and summed in full
+                        new = renumber(new)
+                        offspring.append((new, np.abs(cluster_sums(new, values) - 1.0), True))
+                off_fits = np.array([score(lab, values, dev) for lab, dev, _ in offspring])
                 evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])
@@ -299,7 +309,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 fits = merged_fits[keep]
                 del merged, offspring  # the discarded offspring's rows go now
                 trace.append(float(fits[0]))
-            labels = [lab for lab, _ in pop]
+            labels = [lab for lab, *_ in pop]
             yield labels[0], trace, evals
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)
@@ -321,10 +331,8 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     The trace records the committed fitness at every ``checkpoint_every``
     evaluations, so its length is budget // checkpoint_every + 1.
 
-    The committed clustering's rows ``|cluster_sums - 1|`` are kept, and each
-    candidate's are built from them (``_child_dev``), so a candidate costs two
-    recomputed rows instead of the O(N*H) kernel, with every ``f`` unchanged
-    bit for bit.
+    Each candidate is built from the committed labels and rows
+    ``|cluster_sums - 1|`` (``_regroup``), two rows summed again.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -342,18 +350,16 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             evals = 0
             while evals < budget:
                 x = int(rng.integers(n))
-                kx = int(labels[x])
-                targets = _joinable(labels, nbrs[x], kx, np.bincount(labels))
+                targets, inside = _joinable(labels, nbrs[x], int(labels[x]), np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
-                best_f = score(labels, values, dev)
-                best_labels, best_dev = labels, dev
+                best_f, best_labels, best_dev = score(labels, values, dev), labels, dev
                 evals += 1
                 for t_label in targets:
                     if evals >= budget:
                         break
-                    cand, order = _move(labels, x, t_label)
-                    cand_dev = _child_dev(labels, dev, values, cand, (kx, t_label), order)
+                    cand, cand_dev = _regroup(labels, dev, values,
+                                              *_join(labels, x, t_label, inside))
                     f = score(cand, values, cand_dev)
                     evals += 1
                     if f < best_f:

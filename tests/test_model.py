@@ -124,12 +124,12 @@ def test_renumber_matches_first_appearance_oracle(raw, repeat):
 @example([7], 1)  # N = 1
 @example([3, 3, 3, 3], 5)  # a single label
 @example([9, 2, 30, 2, 9], 1)  # gaps
-def test_relabel_is_renumber_and_returns_its_order(raw, scale):
+def test_renumber_numbers_labels_in_first_appearance_order(raw, scale):
     labels = np.array(raw, dtype=np.int64) * scale
-    relabelled, order = model._relabel(labels)
-    assert relabelled.tolist() == model.renumber(labels).tolist()
-    assert (order[relabelled - 1] == labels).all()
-    assert order.tolist() == [v * scale for v in dict.fromkeys(raw)]  # first appearance
+    relabelled = model.renumber(labels)
+    assert relabelled.tolist() == pure_renumber(labels.tolist())
+    order = np.array([v * scale for v in dict.fromkeys(raw)])  # first appearance
+    assert (order[relabelled - 1] == labels).all()  # new label j + 1 was old label order[j]
 
 
 def test_renumber_rejects_labels_below_one():

@@ -15,6 +15,26 @@ def _random_geometry(rng, n, box=10.0):
     return model.build_distance_matrix(rng.uniform(0.0, box, size=(n, 2)))
 
 
+def _rows(labels, values):
+    return np.abs(objective.cluster_sums(labels, values) - 1.0)
+
+
+def _build(parent, values, new, groups, dev=None):
+    """The child ``_regroup`` builds from a first-appearance parent, its rows, and
+    for each child label the label in ``new`` it came from."""
+    dev = _rows(parent, values) if dev is None else dev
+    child, rows = solvers._regroup(parent, dev, values, new, groups)
+    order = np.zeros(child.max(), dtype=np.int64)
+    order[child - 1] = new
+    assert (order[child - 1] == new).all()  # one label in new per child label
+    return child, rows, order
+
+
+def _changed(parent, groups):
+    """The parent labels a mutation regroups, x's first (the frozen operator's ``changed``)."""
+    return tuple(r for r, _, _ in groups if r <= parent.max())
+
+
 def test_ea_config_validation():
     solvers.EaConfig()
     with pytest.raises(ValueError):
@@ -55,9 +75,10 @@ def test_initial_pop_deterministic():
 def test_mutate_merges_two_near_singletons(rng):
     ps = _points([0, 1])
     parent = np.array([1, 2])
-    child, changed, order = solvers._mutate_labels(parent, model.within_tau(ps, 2.0), prob=1.0,
-                                                   rng=rng)
+    new, groups = solvers._mutate_labels(parent, model.within_tau(ps, 2.0), prob=1.0, rng=rng)
+    child, _, order = _build(parent, np.ones((2, 1)), new, groups)
     assert model.Clustering(child).K == 1
+    changed = _changed(parent, groups)
     assert sorted(changed) == [1, 2]
     assert order.tolist() == [changed[1]]
 
@@ -66,12 +87,11 @@ def test_mutate_no_neighbors_is_noop(rng):
     ps = _points([0, 100, 200])
     parent = np.array([1, 2, 3])
     for _ in range(10):
-        child, changed, order = solvers._mutate_labels(parent, model.within_tau(ps, 1.0),
-                                                       prob=0.5, rng=rng)
-        assert child.tolist() == [1, 2, 3]
-        assert child is not parent
-        assert changed == ()
-        assert order is None
+        new, groups = solvers._mutate_labels(parent, model.within_tau(ps, 1.0), prob=0.5,
+                                             rng=rng)
+        assert new.tolist() == [1, 2, 3]
+        assert new is not parent
+        assert groups == []
 
 
 def test_mutate_escapes_single_cluster(rng):
@@ -79,10 +99,10 @@ def test_mutate_escapes_single_cluster(rng):
     # selected point is pulled out into a singleton.
     ps = _points([0, 1])
     parent = np.array([1, 1])
-    child, changed, order = solvers._mutate_labels(parent, model.within_tau(ps, 5.0), prob=0.3,
-                                                   rng=rng)
+    new, groups = solvers._mutate_labels(parent, model.within_tau(ps, 5.0), prob=0.3, rng=rng)
+    child, _, order = _build(parent, np.ones((2, 1)), new, groups)
     assert model.Clustering(child).K == 2
-    assert changed == (1,)
+    assert _changed(parent, groups) == (1,)
     assert sorted(order.tolist()) == [1, 2]  # x's new cluster is numbered K + 1 = 2 first
 
 
@@ -91,9 +111,11 @@ def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
         ps = _random_geometry(rng, 15, box=6.0)
         tau = 2.5
         adj = model.within_tau(ps, tau)
-        lab = solvers._initial_labels(adj, rng)
+        lab = model.renumber(solvers._initial_labels(adj, rng))
+        values = rng.random((15, 2))
         for _ in range(60):
-            lab, _, _ = solvers._mutate_labels(lab, adj, prob=0.5, rng=rng)
+            new, groups = solvers._mutate_labels(lab, adj, prob=0.5, rng=rng)
+            lab = _build(lab, values, new, groups)[0] if groups else new
             # Clustering construction enforces 1..K contiguity (no empties).
             assert model.is_feasible(model.Clustering(lab), ps, tau)
 
@@ -131,19 +153,24 @@ def test_operators_match_their_frozen_versions(n, hours, seed, box, split, prob)
         parent = solvers._split_labels(parent, live)
         solvers._split_labels(want, frozen)
     for step in range(10):
-        dev = np.abs(objective.cluster_sums(parent, values) - 1.0)
-        child, changed, order = solvers._mutate_labels(parent, nbrs, prob, live)
+        new, groups = solvers._mutate_labels(parent, nbrs, prob, live)
         want, want_changed = _oracles._mutate_labels(parent, nbrs, prob, frozen)
+        if not groups:
+            child, got = new, _rows(parent, values)
+        elif model.renumber(parent).tolist() == parent.tolist():
+            child, got, order = _build(parent, values, new, groups)
+        else:  # a seed parent's child, as run_ea builds it
+            child = model.renumber(new)
+            got = _rows(child, values)
         assert child.dtype == want.dtype and child.tolist() == want.tolist()
-        assert changed == want_changed
+        assert _changed(parent, groups) == want_changed
         same_draws()
-        if changed:
-            kept = ~np.isin(parent, changed)
-            assert (order[child - 1][kept] == parent[kept]).all()
-        else:
-            assert order is None
-        got = solvers._child_dev(parent, dev, values, child, changed, order)
-        assert got.tobytes() == np.abs(objective.cluster_sums(child, values) - 1.0).tobytes()
+        if groups:
+            kept = ~np.isin(parent, want_changed)
+            assert (new[kept] == parent[kept]).all()
+            if model.renumber(parent).tolist() == parent.tolist():
+                assert (order[child - 1][kept] == parent[kept]).all()
+        assert got.tobytes() == _rows(child, values).tobytes()
         if step % 2:
             parent = child
 
@@ -161,7 +188,8 @@ def test_joinable_matches_its_bincount_version(n, seed, alone):
     others = np.flatnonzero(rng.random(n) < rng.random())
     row = np.array([x]) if alone else np.union1d(others, [x])  # ascending, holds x
     kx = int(labels[x])
-    got = solvers._joinable(labels, row, kx, counts)
+    got, inside = solvers._joinable(labels, row, kx, counts)
+    assert inside == {k: row[labels[row] == k].tolist() for k in set(labels[row].tolist())}
     assert got == _oracles._joinable(labels, row, x, counts).tolist()
     assert got == sorted(got) and kx not in got
     assert all(set(np.flatnonzero(labels == k).tolist()) <= set(row.tolist()) for k in got)
@@ -305,14 +333,19 @@ def test_run_greedy_deploys_its_last_committed_f_exactly(rng):
 
 
 def _assert_move_dev_exact(labels, values, x, k):
-    dev = np.abs(objective.cluster_sums(labels, values) - 1.0)
-    cand, order = solvers._move(labels, x, k)
-    got = solvers._child_dev(labels, dev, values, cand, (labels[x], k), order)
-    # _child_dev writes into neither the parent nor the candidate labels.
-    assert cand.tolist() == solvers._move(labels, x, k)[0].tolist()
+    """Move x of first-appearance ``labels`` to cluster k as greedy builds it; check it."""
+    dev = _rows(labels, values)
+    parent, parent_dev = labels.copy(), dev.copy()
+    # A row holding every point holds every cluster.
+    inside = solvers._joinable(labels, np.arange(labels.size), labels[x], np.bincount(labels))[1]
+    new, groups = solvers._join(labels, x, k, inside)
+    cand, got, order = _build(labels, values, new, groups, dev)
+    # The builder writes into neither the parent's labels nor its rows.
+    assert labels.tolist() == parent.tolist() and dev.tobytes() == parent_dev.tobytes()
+    assert cand.tolist() == model.renumber(new).tolist()
     assert cand.tolist() == _oracles._move(labels, x, k).tolist()  # the frozen version
     assert (order[cand - 1] == np.where(np.arange(labels.size) == x, k, labels)).all()
-    want = np.abs(objective.cluster_sums(cand, values) - 1.0)
+    want = _rows(cand, values)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert objective.fitness_parts(cand, values, 0.01, got) == \
@@ -331,20 +364,19 @@ def _special_traffic(rng, n, h):
 
 @pytest.mark.parametrize("hours", [1, 3])
 def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
-    # Clusters of 1, 2, 9 and 130 members, interleaved in point order and
-    # numbered in an order other than first appearance. The moved points
-    # include each cluster's first, second and last member (so moves empty
-    # a cluster, remove its first member and make x a target's new first
-    # member), into every other cluster.
+    # Clusters of 1, 2, 9 and 130 members, interleaved in point order. The
+    # moved points include each cluster's first, second and last member (so
+    # moves empty a cluster, remove its first member and make x a target's
+    # new first member), into every other cluster.
     rng = np.random.default_rng(2022)
-    sizes = {3: 1, 1: 2, 4: 9, 2: 130}
-    labels = rng.permutation(np.repeat(list(sizes), list(sizes.values()))).astype(np.int64)
+    sizes = [1, 2, 9, 130]
+    labels = model.renumber(rng.permutation(np.repeat(np.arange(1, 5), sizes)))
     values = _special_traffic(rng, labels.size, hours)
     seen = set()
-    for kx in sizes:
+    for kx in range(1, 5):
         mem = np.flatnonzero(labels == kx)
         for x in {int(mem[0]), int(mem[min(1, mem.size - 1)]), int(mem[-1])}:
-            for k in sizes:
+            for k in range(1, 5):
                 if k != kx:
                     _assert_move_dev_exact(labels, values, x, k)
                     seen.add("empties" if mem.size == 1 else
@@ -352,6 +384,7 @@ def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
                     if x < np.flatnonzero(labels == k)[0]:
                         seen.add("new-first")
     assert seen == {"empties", "removes-first", "removes-later", "new-first"}
+    assert sorted(np.bincount(labels)[1:].tolist()) == sizes
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,14 +392,12 @@ def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
 def test_move_dev_matches_full_rows(n, hours, seed, grown):
     rng = np.random.default_rng(seed)
     if grown:
-        # Parents straight from _initial_labels: labels in seed-draw order.
+        # Parents grown by _initial_labels, renumbered as every parent greedy moves from is.
         ps = _random_geometry(rng, n, box=float(rng.uniform(1.0, 30.0)))
-        labels = solvers._initial_labels(model.within_tau(ps, 3.0), rng)
+        labels = model.renumber(solvers._initial_labels(model.within_tau(ps, 3.0), rng))
     else:
         raw = rng.integers(1, int(rng.integers(2, n + 1)) + 1, size=n)
-        labels = np.unique(raw, return_inverse=True)[1].astype(np.int64) + 1  # in value order
-        if rng.random() < 0.5:
-            labels = model.renumber(labels)
+        labels = model.renumber(raw)
     if labels.max() < 2:
         return
     values = _special_traffic(rng, n, hours)
@@ -378,10 +409,12 @@ def test_move_dev_matches_full_rows(n, hours, seed, grown):
 
 def _assert_mutation_dev_exact(parent, values, nbrs, prob, rng):
     """Mutate parent, check the child's built rows, return (child, kind, regrouped sizes)."""
-    dev = np.abs(objective.cluster_sums(parent, values) - 1.0)
-    child, changed, order = solvers._mutate_labels(parent, nbrs, prob, rng)
-    got = solvers._child_dev(parent, dev, values, child, changed, order)
-    want = np.abs(objective.cluster_sums(child, values) - 1.0)
+    new, groups = solvers._mutate_labels(parent, nbrs, prob, rng)
+    changed = _changed(parent, groups)
+    child, got, _ = _build(parent, values, new, groups) if groups else \
+        (new, _rows(parent, values), None)
+    assert child.tolist() == model.renumber(new).tolist()
+    want = _rows(child, values)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     sizes = [int((parent == c).sum()) for c in changed]
@@ -400,7 +433,8 @@ def _mutation_walk(rng, n, hours, box, split, prob, steps=8):
     ps = _random_geometry(rng, n, box=box)
     nbrs = model.within_tau(ps, 3.0)
     values = _special_traffic(rng, n, hours)
-    parent = solvers._initial_labels(nbrs, rng)  # labels in seed-draw order
+    # Seed individuals renumbered, as every parent the builder takes is.
+    parent = model.renumber(solvers._initial_labels(nbrs, rng))
     if split:
         parent = solvers._split_labels(parent, rng)
     kinds, sizes = set(), []
@@ -526,3 +560,142 @@ def test_solvers_reach_brute_force_optimum(rng):
     r = solvers.run_ea(ps, traffic, cfg, problem)[0]
     assert r.best_fitness.f >= best - 1e-12  # cannot beat the true optimum
     assert r.best_fitness.f == pytest.approx(best, abs=1e-9)
+
+
+def _regrouping(labels, moved, to):
+    """``labels`` with the points ``moved`` given label ``to`` (K + 1 for a new
+    cluster), and the regrouping ``_regroup`` takes, found by brute force."""
+    K = int(labels.max())
+    new = labels.copy()
+    new[moved] = to
+    regrouped = dict.fromkeys([*labels[moved].tolist(), to])
+    return new, [(r, np.flatnonzero(new == r).tolist(),
+                  int(np.flatnonzero(labels == r)[0]) if r <= K else -1) for r in regrouped]
+
+
+def _assert_regroup_exact(labels, values, new, groups):
+    child, rows, _ = _build(labels, values, new, groups)
+    assert child.dtype == np.int64
+    assert child.tolist() == model.renumber(new).tolist()
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == _rows(child, values).tobytes()
+    return child
+
+
+def _zeros_and_repeats(rng, n, hours):
+    """Traffic holding 0.0, -0.0 and a repeated value in every column."""
+    values = _special_traffic(rng, n, hours)
+    values[0::4] = 0.0
+    values[1::4] = -0.0
+    values[2::4] = 0.1
+    return values
+
+
+# Four interleaved clusters in first-appearance order: 1 = {0, 2, 7},
+# 2 = {1, 4, 9}, 3 = {3, 6}, 4 = {5, 8}, and the singletons 5 = {10}, 6 = {11}.
+_EXAMPLE = np.array([1, 2, 1, 3, 2, 4, 3, 1, 4, 2, 5, 6])
+
+
+@pytest.mark.parametrize("hours", [1, 3])
+def test_regroup_join_example(hours):
+    values = _zeros_and_repeats(np.random.default_rng(7), _EXAMPLE.size, hours)
+    inside = solvers._joinable(_EXAMPLE, np.arange(_EXAMPLE.size), 0, np.bincount(_EXAMPLE))[1]
+    # x = 1 is the first member of cluster 2 and becomes the first member of
+    # cluster 3, so both first members move.
+    new, groups = solvers._join(_EXAMPLE, 1, 3, inside)
+    assert groups == [(2, [4, 9], 1), (3, [1, 3, 6], 3)]
+    assert _assert_regroup_exact(_EXAMPLE, values, new, groups).tolist() == \
+        [1, 2, 1, 2, 3, 4, 2, 1, 4, 3, 5, 6]
+    # x = 10 is alone: its cluster empties and the later labels move down.
+    new, groups = solvers._join(_EXAMPLE, 10, 4, inside)
+    assert groups == [(5, [], 10), (4, [5, 8, 10], 5)]
+    assert _assert_regroup_exact(_EXAMPLE, values, new, groups).tolist() == \
+        [1, 2, 1, 3, 2, 4, 3, 1, 4, 2, 4, 5]
+    # x = 7 is a later member and joins a cluster starting before it: no label moves.
+    new, groups = solvers._join(_EXAMPLE, 7, 2, inside)
+    child, _, _ = _build(_EXAMPLE, values, new, groups)
+    assert child is new
+    _assert_regroup_exact(_EXAMPLE, values, new, groups)
+
+
+@pytest.mark.parametrize("hours", [1, 3])
+def test_regroup_isolate_example(hours):
+    values = _zeros_and_repeats(np.random.default_rng(8), _EXAMPLE.size, hours)
+    # x = 1, cluster 2's first member, starts a new cluster; cluster 2 now starts at 4.
+    new, groups = _regrouping(_EXAMPLE, [1], 7)
+    assert groups == [(2, [4, 9], 1), (7, [1], -1)]
+    assert _assert_regroup_exact(_EXAMPLE, values, new, groups).tolist() == \
+        [1, 2, 1, 3, 4, 5, 3, 1, 5, 4, 6, 7]
+    # x = 9, cluster 2's last member, starts a new cluster after every other.
+    new, groups = _regrouping(_EXAMPLE, [9], 7)
+    _assert_regroup_exact(_EXAMPLE, values, new, groups)
+
+
+@pytest.mark.parametrize("hours", [1, 3])
+def test_regroup_pull_example(hours):
+    # On a line with tau = 1: x = 1 at 0.2 is alone, and its only neighbour is
+    # point 0, the first member of cluster 1 = {0, 2}, whose point 2 at 1.8
+    # lies outside x's row. The only move x has is to pull point 0.
+    ps = _points([1.0, 0.2, 1.8, 10.0, 10.5, 20.0])
+    nbrs = model.within_tau(ps, 1.0)
+    parent = np.array([1, 2, 1, 3, 3, 4])
+    values = _zeros_and_repeats(np.random.default_rng(9), parent.size, hours)
+    pulls = 0
+    for seed in range(20):
+        new, groups = solvers._mutate_labels(parent, nbrs, 1.0, np.random.default_rng(seed))
+        if not groups:  # x = 5, which has no neighbour
+            continue
+        assert new.tolist() == [5, 5, 1, 3, 3, 4]
+        assert groups == [(2, [], 1), (1, [2], 0), (5, [0, 1], -1)]
+        assert _assert_regroup_exact(parent, values, new, groups).tolist() == [1, 1, 2, 3, 3, 4]
+        pulls += 1
+    assert pulls > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["join", "isolate", "pull"]))
+def test_regroup_matches_renumber_and_full_rows(n, hours, seed, kind):
+    # Any move of x, alone or not, first or not, into any cluster, a new one
+    # included, or a pull of any members of another cluster, its first or
+    # all of them included.
+    rng = np.random.default_rng(seed)
+    labels = model.renumber(rng.integers(1, int(rng.integers(1, n + 1)) + 1, size=n))
+    K = int(labels.max())
+    values = _special_traffic(rng, n, hours)
+    x = int(rng.integers(n))
+    others = np.setdiff1d(np.arange(1, K + 1), [labels[x]])
+    if kind == "join" and others.size:
+        new, groups = _regrouping(labels, [x], int(rng.choice(others)))
+    elif kind == "pull" and others.size:
+        donor = np.flatnonzero(labels == rng.choice(others))
+        pulled = rng.choice(donor, size=int(rng.integers(1, donor.size + 1)), replace=False)
+        new, groups = _regrouping(labels, [x, *pulled.tolist()], K + 1)
+    else:
+        new, groups = _regrouping(labels, [x], K + 1)
+    _assert_regroup_exact(labels, values, new, groups)
+
+
+@pytest.mark.parametrize("solver", solvers.VARIANTS + ("greedy",))
+def test_audit_does_not_change_results(solver):
+    rng = np.random.default_rng(12)
+    ps = _random_geometry(rng, 30, box=5.0)
+    traffic = [model.TrafficDay(values=_special_traffic(rng, 30, 4), day_index=d)
+               for d in range(3)]
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=4)
+
+    def solve(audit):
+        if solver == "greedy":
+            return solvers.run_greedy(ps, traffic, 200, problem, np.random.default_rng(5),
+                                      audit=audit)
+        cfg = solvers.EaConfig(popsize=5, maxgen=30, variant=solver, seed=5)
+        return solvers.run_ea(ps, traffic, cfg, problem, audit=audit)
+
+    seen = []
+    for a, b in zip(solve(None), solve(seen.append), strict=True):
+        assert a.day == b.day
+        assert a.best.labels.tolist() == b.best.labels.tolist()
+        assert a.best_fitness == b.best_fitness
+        assert a.trace == b.trace
+        assert a.evals_used == b.evals_used
+    assert len(seen) >= sum(r.evals_used for r in solve(None))
