@@ -85,10 +85,7 @@ def _joinable(labels: np.ndarray, row: np.ndarray, kx: int, counts: np.ndarray
     bincount(labels)), and the points of ``row`` by label, each ascending."""
     inside: dict[int, list[int]] = {}
     for p, k in zip(row.tolist(), labels[row].tolist()):
-        if k in inside:
-            inside[k].append(p)
-        else:
-            inside[k] = [p]
+        inside.setdefault(k, []).append(p)
     return sorted(k for k, mem in inside.items() if k != kx and len(mem) == counts[k]), inside
 
 
@@ -107,12 +104,11 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
 
     ``labels`` (in first-appearance order, rows ``dev``) becomes ``new`` by
     regrouping ``groups``: (label in ``new``, K + 1 if new; members, ascending;
-    first member in ``labels`` or -1). The other clusters keep their order:
-    their rows are copied in blocks, their labels shift per block. A cluster
-    now starting at p follows the ``labels[:p].max()`` parent clusters that
-    start before p (r - 1 if cluster r keeps its first member). Its row is
-    summed in point order, as the ``bincount`` adds, starting from its first
-    member, not 0.0: that changes only a zero sum's sign, which |S - 1| loses.
+    first member in ``labels`` or -1). The other clusters keep their order, rows
+    copied and labels shifted in blocks. A cluster now starting at p follows the
+    ``labels[:p].max()`` clusters that started before p (r - 1 if cluster r keeps
+    its first member); its row is summed in point order, as ``bincount`` adds but
+    from the first member, not 0.0, which only flips a zero sum's sign (lost in |S - 1|).
     """
     K, n = dev.shape[0], labels.size
     # (parent rows before it, tie break, parent rows consumed, label, members): each
@@ -214,10 +210,13 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
                 problem: ProblemConfig, search: DaySearch,
                 audit: AuditHook | None) -> list[DayResult]:
-    """The day driver both solvers share: checks the traffic against the point set
-    and ``problem.H``, builds ``within_tau`` once, runs ``search`` over the days with
-    the one scorer every candidate passes through (it calls ``audit`` first, when
-    set) and re-scores each day's deployed labels (uncharged) into a :class:`DayResult`.
+    """The day driver both solvers share.
+
+    Checks the traffic against the point set and ``problem.H``, builds
+    ``within_tau`` once, runs ``search`` over the days with the one scorer every
+    candidate passes through (it calls ``audit`` first, when set) and
+    re-scores each day's deployed labels (an uncharged evaluation) into a
+    :class:`DayResult`.
     """
     if len(traffic_by_day) == 0:
         raise ValueError("traffic_by_day is empty")
@@ -353,7 +352,8 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                 targets, inside = _joinable(labels, nbrs[x], int(labels[x]), np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
-                best_f, best_labels, best_dev = score(labels, values, dev), labels, dev
+                best_f = score(labels, values, dev)
+                best_labels, best_dev = labels, dev
                 evals += 1
                 for t_label in targets:
                     if evals >= budget:
