@@ -118,7 +118,7 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
         if mem:
             m = r - 1 if mem[0] == first else int(labels[:mem[0]].max()) if mem[0] else 0
             events.append((m, mem[0], m, r, mem))
-    pieces, blocks, placed, lo, size = [], [], [], 0, 0  # blocks: (row, end, label shift)
+    pieces, blocks, placed, lo, size = [], [], [], 0, 0  # blocks: (row, end row, shift)
     for start, _, end, r, mem in sorted(events):
         if lo < start:
             pieces.append(dev[lo:start])
