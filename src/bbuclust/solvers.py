@@ -67,15 +67,23 @@ class DayResult:
     evals_used: int
 
 
-def _grow(labels: np.ndarray | list[int], nbrs: Sequence[np.ndarray], seed: int,
+def _pick(rng: np.random.Generator, items: Sequence, num: int) -> list:
+    """``rng.choice(items, size=num, replace=False)`` as a list, with the same draws:
+    one item is one bounded draw, as Floyd's sampling takes one step and the shuffle none."""
+    if num == 1:
+        return [items[rng.integers(len(items))]]
+    return [items[i] for i in rng.choice(len(items), size=num, replace=False).tolist()]
+
+
+def _grow(labels: np.ndarray | list[int], rows: Sequence[list[int]], seed: int,
           picked: Iterable[int], k: int) -> list[int]:
     """Pairwise repair: label seed k, then each picked point within tau of all added (returned)."""
     labels[seed] = k
-    common = set(nbrs[seed].tolist())  # the points within tau of every added point
+    common = set(rows[seed])  # the points within tau of every added point
     for c in picked:
         if c in common:
             labels[c] = k
-            common.intersection_update(nbrs[c].tolist())
+            common.intersection_update(rows[c])
     return [c for c in picked if labels[c] == k]  # no picked point had label k before
 
 
@@ -142,25 +150,24 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
     return rank[new], np.concatenate(pieces)
 
 
-def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Grow random feasible clusters until every point is assigned (labels in a list)."""
-    labels = [0] * len(nbrs)
-    pool = list(range(len(nbrs)))  # the unassigned points, ascending
+def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.ndarray:
+    """Grow random feasible clusters until every point is assigned."""
+    labels = [0] * len(rows)
+    pool = list(range(len(rows)))  # the unassigned points, ascending
     k = 0
     while pool:
-        r = pool[rng.integers(len(pool))]
+        r = pool.pop(rng.integers(len(pool)))
         k += 1
-        close = [c for c in nbrs[r].tolist() if not labels[c] and c != r]
-        num = int(rng.integers(0, len(close) + 1)) if close else 0
-        # Drawing positions in close takes the same draws as drawing from close.
-        drawn = rng.choice(len(close), size=num, replace=False).tolist() if num else []
-        for a in [r, *_grow(labels, nbrs, r, [close[i] for i in drawn], k)]:
-            del pool[bisect_left(pool, a)]
+        labels[r] = k
+        close = [c for c in rows[r] if not labels[c]]
+        if num := int(rng.integers(0, len(close) + 1)) if close else 0:
+            for a in _grow(labels, rows, r, _pick(rng, close, num), k):
+                del pool[bisect_left(pool, a)]
     return np.array(labels, dtype=np.int64)
 
 
-def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
-                   rng: np.random.Generator) -> tuple[np.ndarray, list[tuple]]:
+def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequence[list[int]],
+                   prob: float, rng: np.random.Generator) -> tuple[np.ndarray, list[tuple]]:
     """Move one point x (isolated points preferred) between feasible clusters.
 
     Returns the child before renumbering (a new cluster is K + 1) and the
@@ -182,7 +189,7 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
     if adjacent := sorted(k for k in inside if k != kx):
         c = adjacent[rng.integers(len(adjacent))]
         num = int(rng.integers(1, len(inside[c]) + 1))
-        pulled = _grow(new, nbrs, x, rng.choice(inside[c], size=num, replace=False), counts.size)
+        pulled = _grow(new, rows, x, _pick(rng, inside[c], num), counts.size)
         mc = np.flatnonzero(labels == c).tolist()  # c is not wholly within the row
         return new, [rest, (c, [p for p in mc if p not in pulled], mc[0]),
                      (counts.size, sorted([x, *pulled]), -1)]
@@ -201,7 +208,7 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     c = int(multi[rng.integers(multi.size)])
     mem = np.flatnonzero(labels == c)
     nsplit = int(rng.integers(1, mem.size // 2 + 1))
-    picked = rng.choice(mem, size=nsplit, replace=False)
+    picked = _pick(rng, mem, nsplit)
     new = labels.copy()
     new[picked] = counts.size
     return renumber(new)
@@ -266,7 +273,8 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
-        labels = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
+        rows = [row.tolist() for row in nbrs]
+        labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
 
         for d, values in enumerate(values_by_day):
             if d:
@@ -274,7 +282,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 if config.variant == "split":
                     labels = [_split_labels(lab, rng) for lab in labels]
                 elif config.variant == "rand":
-                    labels = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
+                    labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
             # (labels, rows summed in full once a day, labels in first-appearance order)
@@ -291,7 +299,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             for _ in range(config.maxgen):
                 offspring = []
                 for lab, dev, canon in pop:
-                    new, groups = _mutate_labels(lab, nbrs, config.prob, rng)
+                    new, groups = _mutate_labels(lab, nbrs, rows, config.prob, rng)
                     if not groups:
                         offspring.append((new, dev, canon))
                     elif canon:

@@ -8,8 +8,8 @@ N x N distance matrix, ``reference_read_csvs``, the former row-by-row CSV
 reader, ``reference_save_dataset``, the former row-by-row CSV writer, and
 ``reference_run_ea``, the former EA loop that scores every individual with
 the full fitness kernel, and the candidate operators ``_initial_labels``,
-``_grow``, ``_joinable``, ``_move`` and ``_mutate_labels`` as they were before
-they were rewritten without changing a draw or a label.
+``_grow``, ``_joinable``, ``_move``, ``_mutate_labels`` and ``_split_labels``
+as they were before they were rewritten without changing a draw or a label.
 """
 from __future__ import annotations
 
@@ -208,9 +208,24 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
     return renumber(new), (kx, c)
 
 
+def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Split a random multi-member cluster; all-singleton solutions pass through."""
+    counts = np.bincount(labels)
+    multi = np.flatnonzero(counts[1:] > 1) + 1
+    if multi.size == 0:
+        return labels.copy()
+    c = int(multi[rng.integers(multi.size)])
+    mem = np.flatnonzero(labels == c)
+    nsplit = int(rng.integers(1, mem.size // 2 + 1))
+    picked = rng.choice(mem, size=nsplit, replace=False)
+    new = labels.copy()
+    new[picked] = counts.size
+    return renumber(new)
+
+
 def reference_run_ea(point_set, traffic_by_day, config, problem):
     """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim
-    except that it seeds and mutates through the frozen operators above, so
+    except that it seeds, mutates and splits through the frozen operators above, so
     drift in the live ones shows here too.
     """
     def search(nbrs, values_by_day, score):
@@ -222,7 +237,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
             if d:
                 # Seed today's population from yesterday's, with yesterday's rng.
                 if config.variant == "split":
-                    pop = [solvers._split_labels(lab, rng) for lab in pop]
+                    pop = [_split_labels(lab, rng) for lab in pop]
                 elif config.variant == "rand":
                     pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.

@@ -15,6 +15,11 @@ def _random_geometry(rng, n, box=10.0):
     return model.build_distance_matrix(rng.uniform(0.0, box, size=(n, 2)))
 
 
+def _lists(nbrs):
+    """The ``within_tau`` rows as the lists ``run_ea`` hands the Python operators."""
+    return [row.tolist() for row in nbrs]
+
+
 def _rows(labels, values):
     return np.abs(objective.cluster_sums(labels, values) - 1.0)
 
@@ -51,7 +56,7 @@ def test_initial_pop_feasible_and_complete(rng):
     ps = _random_geometry(rng, 25)
     nbrs = model.within_tau(ps, 3.0)
     for _ in range(12):
-        ind = model.Clustering(solvers._initial_labels(nbrs, rng))
+        ind = model.Clustering(solvers._initial_labels(_lists(nbrs), rng))
         assert ind.n_points == 25
         assert model.is_feasible(ind, ps, tau=3.0)
 
@@ -60,12 +65,12 @@ def test_initial_pop_far_points_all_singletons(rng):
     ps = _points([0, 100, 200, 300])
     nbrs = model.within_tau(ps, 1.0)
     for _ in range(5):
-        assert model.Clustering(solvers._initial_labels(nbrs, rng)).K == 4
+        assert model.Clustering(solvers._initial_labels(_lists(nbrs), rng)).K == 4
 
 
 def test_initial_pop_deterministic():
     ps = _points([0, 1, 2, 3, 10, 11])
-    adj = model.within_tau(ps, 2.0)
+    adj = _lists(model.within_tau(ps, 2.0))
     ra, rb = np.random.default_rng(7), np.random.default_rng(7)
     a = [solvers._initial_labels(adj, ra) for _ in range(8)]
     b = [solvers._initial_labels(adj, rb) for _ in range(8)]
@@ -75,7 +80,8 @@ def test_initial_pop_deterministic():
 def test_mutate_merges_two_near_singletons(rng):
     ps = _points([0, 1])
     parent = np.array([1, 2])
-    new, groups = solvers._mutate_labels(parent, model.within_tau(ps, 2.0), prob=1.0, rng=rng)
+    nbrs = model.within_tau(ps, 2.0)
+    new, groups = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob=1.0, rng=rng)
     child, _, order = _build(parent, np.ones((2, 1)), new, groups)
     assert model.Clustering(child).K == 1
     changed = _changed(parent, groups)
@@ -86,9 +92,9 @@ def test_mutate_merges_two_near_singletons(rng):
 def test_mutate_no_neighbors_is_noop(rng):
     ps = _points([0, 100, 200])
     parent = np.array([1, 2, 3])
+    nbrs = model.within_tau(ps, 1.0)
     for _ in range(10):
-        new, groups = solvers._mutate_labels(parent, model.within_tau(ps, 1.0), prob=0.5,
-                                             rng=rng)
+        new, groups = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob=0.5, rng=rng)
         assert new.tolist() == [1, 2, 3]
         assert new is not parent
         assert groups == []
@@ -99,7 +105,8 @@ def test_mutate_escapes_single_cluster(rng):
     # selected point is pulled out into a singleton.
     ps = _points([0, 1])
     parent = np.array([1, 1])
-    new, groups = solvers._mutate_labels(parent, model.within_tau(ps, 5.0), prob=0.3, rng=rng)
+    nbrs = model.within_tau(ps, 5.0)
+    new, groups = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob=0.3, rng=rng)
     child, _, order = _build(parent, np.ones((2, 1)), new, groups)
     assert model.Clustering(child).K == 2
     assert _changed(parent, groups) == (1,)
@@ -111,10 +118,11 @@ def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
         ps = _random_geometry(rng, 15, box=6.0)
         tau = 2.5
         adj = model.within_tau(ps, tau)
-        lab = model.renumber(solvers._initial_labels(adj, rng))
+        rows = _lists(adj)
+        lab = model.renumber(solvers._initial_labels(rows, rng))
         values = rng.random((15, 2))
         for _ in range(60):
-            new, groups = solvers._mutate_labels(lab, adj, prob=0.5, rng=rng)
+            new, groups = solvers._mutate_labels(lab, adj, rows, prob=0.5, rng=rng)
             lab = _build(lab, values, new, groups)[0] if groups else new
             # Clustering construction enforces 1..K contiguity (no empties).
             assert model.is_feasible(model.Clustering(lab), ps, tau)
@@ -145,15 +153,18 @@ def test_operators_match_their_frozen_versions(n, hours, seed, box, split, prob)
     def same_draws():
         assert live.bit_generator.state == frozen.bit_generator.state
 
-    parent = solvers._initial_labels(nbrs, live)  # labels in seed-draw order
+    rows = _lists(nbrs)
+    parent = solvers._initial_labels(rows, live)  # labels in seed-draw order
     want = _oracles._initial_labels(nbrs, frozen)
     assert parent.dtype == want.dtype and parent.tolist() == want.tolist()
     same_draws()
     if split:
         parent = solvers._split_labels(parent, live)
-        solvers._split_labels(want, frozen)
+        want = _oracles._split_labels(want, frozen)
+        assert parent.dtype == want.dtype and parent.tolist() == want.tolist()
+        same_draws()
     for step in range(10):
-        new, groups = solvers._mutate_labels(parent, nbrs, prob, live)
+        new, groups = solvers._mutate_labels(parent, nbrs, rows, prob, live)
         want, want_changed = _oracles._mutate_labels(parent, nbrs, prob, frozen)
         if not groups:
             child, got = new, _rows(parent, values)
@@ -173,6 +184,71 @@ def test_operators_match_their_frozen_versions(n, hours, seed, box, split, prob)
         assert got.tobytes() == _rows(child, values).tobytes()
         if step % 2:
             parent = child
+
+
+def test_pick_is_choice_without_replacement_draw_for_draw():
+    # Lists (with a repeated item) and ranges, every size; each pick must
+    # return choice's items and leave the generator where choice leaves it.
+    for items in ([7], [3, 1, 4, 1, 5, 9, 2, 6], list(range(40, 0, -2)), range(9), range(3, 60, 7)):
+        for num in range(1, len(items) + 1):
+            for seed in range(4):
+                live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = solvers._pick(live, items, num)
+                assert got == frozen.choice(items, size=num, replace=False).tolist()
+                assert live.bit_generator.state == frozen.bit_generator.state
+    # Populations around 2**32, where a bounded draw leaves the 32-bit path.
+    # choice(n) draws as choice(range(n)) does, without an n-item array.
+    for n in (2**32 - 1, 2**32, 2**32 + 5):
+        for num in (1, 2, 3):
+            for seed in range(4):
+                live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = solvers._pick(live, range(n), num)
+                assert got == frozen.choice(n, size=num, replace=False).tolist()
+                assert live.bit_generator.state == frozen.bit_generator.state
+
+
+def _pulls_match_frozen(coords, tau, parent):
+    """Mutate ``parent`` (x, its only isolated point, can only pull) with seeds
+    0-39 next to the frozen operator; returns how many points each pull took."""
+    nbrs = model.within_tau(_points(coords), tau)
+    taken = set()
+    for seed in range(40):
+        live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+        new, groups = solvers._mutate_labels(parent, nbrs, _lists(nbrs), 1.0, live)
+        want, changed = _oracles._mutate_labels(parent, nbrs, 1.0, frozen)
+        assert model.renumber(new).tolist() == want.tolist()
+        assert _changed(parent, groups) == changed and len(changed) == 2  # a pull
+        assert live.bit_generator.state == frozen.bit_generator.state
+        taken.add(len(groups[-1][1]) - 1)  # the new cluster is x and the pulled points
+    return taken
+
+
+def test_pull_of_one_point_matches_frozen_draws():
+    # x = 0 at 0.0 is alone; cluster 1 = {0.5, 0.7, 1.8} has two members within
+    # tau of x and one beyond, so x pulls one or both of them.
+    assert 1 in _pulls_match_frozen([0.0, 0.5, 0.7, 1.8, 10.0, 10.5], 1.5,
+                                    np.array([2, 1, 1, 1, 3, 3]))
+
+
+def test_pull_of_several_points_matches_frozen_draws():
+    # As above with three members of cluster 1 within tau of x.
+    taken = _pulls_match_frozen([0.0, 0.5, 0.7, 0.9, 1.8, 10.0, 10.5], 1.5,
+                                np.array([2, 1, 1, 1, 1, 3, 3]))
+    assert taken == {1, 2, 3}
+
+
+def test_seed_cluster_of_one_drawn_point_matches_frozen_draws():
+    # Three points within tau of each other: the first seed point draws
+    # 0, 1 or 2 of the other two into its cluster.
+    nbrs = model.within_tau(_points([0.0, 0.5, 1.0]), 2.0)
+    sizes = set()
+    for seed in range(40):
+        live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = solvers._initial_labels(_lists(nbrs), live)
+        assert got.tolist() == _oracles._initial_labels(nbrs, frozen).tolist()
+        assert live.bit_generator.state == frozen.bit_generator.state
+        sizes.add(int((got == 1).sum()))
+    assert sizes == {1, 2, 3}  # 2: one point drawn from two
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,7 +286,7 @@ def test_split_population_examples(rng):
 def test_split_preserves_feasibility(rng):
     ps = _random_geometry(rng, 20, box=5.0)
     nbrs = model.within_tau(ps, 3.0)
-    pop = [solvers._initial_labels(nbrs, rng) for _ in range(10)]
+    pop = [solvers._initial_labels(_lists(nbrs), rng) for _ in range(10)]
     for lab in pop:
         ind = model.Clustering(solvers._split_labels(lab, rng))
         assert model.is_feasible(ind, ps, 3.0)
@@ -394,7 +470,7 @@ def test_move_dev_matches_full_rows(n, hours, seed, grown):
     if grown:
         # Parents grown by _initial_labels, renumbered as every parent greedy moves from is.
         ps = _random_geometry(rng, n, box=float(rng.uniform(1.0, 30.0)))
-        labels = model.renumber(solvers._initial_labels(model.within_tau(ps, 3.0), rng))
+        labels = model.renumber(solvers._initial_labels(_lists(model.within_tau(ps, 3.0)), rng))
     else:
         raw = rng.integers(1, int(rng.integers(2, n + 1)) + 1, size=n)
         labels = model.renumber(raw)
@@ -409,7 +485,7 @@ def test_move_dev_matches_full_rows(n, hours, seed, grown):
 
 def _assert_mutation_dev_exact(parent, values, nbrs, prob, rng):
     """Mutate parent, check the child's built rows, return (child, kind, regrouped sizes)."""
-    new, groups = solvers._mutate_labels(parent, nbrs, prob, rng)
+    new, groups = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob, rng)
     changed = _changed(parent, groups)
     child, got, _ = _build(parent, values, new, groups) if groups else \
         (new, _rows(parent, values), None)
@@ -434,7 +510,7 @@ def _mutation_walk(rng, n, hours, box, split, prob, steps=8):
     nbrs = model.within_tau(ps, 3.0)
     values = _special_traffic(rng, n, hours)
     # Seed individuals renumbered, as every parent the builder takes is.
-    parent = model.renumber(solvers._initial_labels(nbrs, rng))
+    parent = model.renumber(solvers._initial_labels(_lists(nbrs), rng))
     if split:
         parent = solvers._split_labels(parent, rng)
     kinds, sizes = set(), []
@@ -642,7 +718,8 @@ def test_regroup_pull_example(hours):
     values = _zeros_and_repeats(np.random.default_rng(9), parent.size, hours)
     pulls = 0
     for seed in range(20):
-        new, groups = solvers._mutate_labels(parent, nbrs, 1.0, np.random.default_rng(seed))
+        new, groups = solvers._mutate_labels(parent, nbrs, _lists(nbrs), 1.0,
+                                             np.random.default_rng(seed))
         if not groups:  # x = 5, which has no neighbour
             continue
         assert new.tolist() == [5, 5, 1, 3, 3, 4]
