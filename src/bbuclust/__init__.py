@@ -3,8 +3,8 @@
 from .model import (Clustering, PointSet, ProblemConfig, TrafficDay,
                     build_distance_matrix, haversine_meters, is_feasible,
                     within_tau)
-from .objective import (FitnessValue, LegacyScore, MetricsReport, cluster_utility,
-                        legacy_mean_m, legacy_score, metrics, peak_hours)
+from .objective import (FitnessValue, LegacyScore, MetricsReport, legacy_score, metrics,
+                        micro_reference_rows, peak_hours, render_micro_reference)
 from .forecast import (ForecastError, forecast_error, make_forecaster,
                        oracle_predict, persistence_predict)
 from .datasets import (Dataset, DatasetManifest, load_csv_dataset, load_dataset,
@@ -12,8 +12,7 @@ from .datasets import (Dataset, DatasetManifest, load_csv_dataset, load_dataset,
 from .solvers import DayResult, EaConfig, run_ea, run_greedy
 from .stats import ComparisonResult, chi2_sf, friedman_nemenyi, rank_rows
 from .harness import (AlgorithmSpec, ExperimentResult, ExperimentSpec, ResultTable,
-                      RunRecord, aggregate, export_curves, micro_reference_rows,
-                      read_records, render_micro_reference, resolve_tau,
+                      RunRecord, aggregate, export_curves, read_records, resolve_tau,
                       run_experiment, standard_algorithms, sweep, write_records)
 
 __version__ = "0.1.0"
@@ -21,8 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Clustering", "PointSet", "ProblemConfig", "TrafficDay",
     "build_distance_matrix", "haversine_meters", "is_feasible", "within_tau",
-    "FitnessValue", "LegacyScore", "MetricsReport", "cluster_utility",
-    "legacy_mean_m", "legacy_score", "metrics", "peak_hours",
+    "FitnessValue", "LegacyScore", "MetricsReport", "legacy_score", "metrics",
+    "micro_reference_rows", "peak_hours", "render_micro_reference",
     "ForecastError", "forecast_error", "make_forecaster", "oracle_predict",
     "persistence_predict",
     "Dataset", "DatasetManifest", "load_csv_dataset", "load_dataset",
@@ -30,8 +29,7 @@ __all__ = [
     "DayResult", "EaConfig", "run_ea", "run_greedy",
     "ComparisonResult", "chi2_sf", "friedman_nemenyi", "rank_rows",
     "AlgorithmSpec", "ExperimentResult", "ExperimentSpec", "ResultTable",
-    "RunRecord", "aggregate", "export_curves", "micro_reference_rows",
-    "read_records", "render_micro_reference", "resolve_tau",
+    "RunRecord", "aggregate", "export_curves", "read_records", "resolve_tau",
     "run_experiment", "standard_algorithms", "sweep", "write_records",
     "__version__",
 ]

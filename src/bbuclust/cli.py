@@ -6,7 +6,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import datasets, harness
+from . import datasets, harness, objective
 
 
 def _common_run_flags(p: argparse.ArgumentParser) -> None:
@@ -109,7 +109,7 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    text = harness.render_micro_reference()
+    text = objective.render_micro_reference()
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -44,10 +44,7 @@ class DatasetManifest:
     optimal_labels: tuple[int, ...] | None = None
 
     def to_json(self) -> str:
-        d = asdict(self)
-        if d["optimal_labels"] is not None:
-            d["optimal_labels"] = list(d["optimal_labels"])
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "DatasetManifest":
@@ -224,8 +221,11 @@ def make_dataset(kind: str, seed: int, n_days: int = 7, name: str | None = None,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     hours = int(sizes.pop("hours", 24))
+    if n_days < 1 or hours < 1:
+        raise ValueError(f"need at least one day and one hour, got {n_days} days "
+                         f"and {hours} hours")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     optimal_labels: tuple[int, ...] | None = None
     params: dict = {}
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .forecast import make_forecaster
-from .model import Clustering, PointSet, ProblemConfig, TrafficDay, nearest_distances
-from .objective import MetricsReport, legacy_terms, metrics
+from .model import PointSet, ProblemConfig, TrafficDay, nearest_distances
+from .objective import MetricsReport, metrics
 from .solvers import EaConfig, run_ea, run_greedy
 from .stats import friedman_nemenyi
 
@@ -356,58 +356,3 @@ def sweep(spec: ExperimentSpec, param: str, values: Sequence[float],
             raise ValueError(f"unknown sweep parameter {param!r}")
         out.append((float(v), run_experiment(s)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Micro reference instances: six 3-point, 3-hour traffic tables whose scores
-# are small enough to check by hand, under five fixed clusterings.
-
-MICRO_TRAFFIC = {
-    "ds1": [[0.8, 0.5, 0.3], [0.2, 0.7, 0.1], [0.2, 0.6, 0.7]],
-    "ds2": [[0.8, 0.5, 0.3], [0.7, 0.2, 0.1], [0.2, 0.6, 0.7]],
-    "ds3": [[0.8, 0.5, 0.3], [0.7, 0.2, 0.1], [0.7, 0.6, 0.2]],
-    "ds4": [[0.18, 0.15, 0.13], [0.12, 0.17, 0.11], [0.12, 0.16, 0.17]],
-    "ds5": [[0.18, 0.15, 0.13], [0.17, 0.12, 0.11], [0.12, 0.16, 0.17]],
-    "ds6": [[0.18, 0.15, 0.13], [0.17, 0.12, 0.11], [0.17, 0.16, 0.12]],
-}
-
-MICRO_CLUSTERINGS = [
-    ("12, 3", (1, 1, 2)),
-    ("13, 2", (1, 2, 1)),
-    ("1, 23", (1, 2, 2)),
-    ("1, 2, 3", (1, 2, 3)),
-    ("123", (1, 1, 1)),
-]
-
-
-def micro_reference_rows() -> list[dict]:
-    """Score every micro instance under every fixed clustering.
-
-    Each row carries per-cluster (1 - U, entropy) pairs plus their means;
-    meanM is the cluster-mean of (1 - U) * entropy.
-    """
-    rows = []
-    for ds_name, table in MICRO_TRAFFIC.items():
-        traffic = TrafficDay(values=np.array(table, dtype=float))
-        for label, labs in MICRO_CLUSTERINGS:
-            clustering = Clustering(labels=np.array(labs, dtype=np.int64))
-            per_cluster = legacy_terms(clustering, traffic)
-            rows.append({
-                "dataset": ds_name,
-                "clustering": label,
-                "per_cluster": per_cluster,
-                "mean_one_minus_u": float(np.mean([c[0] for c in per_cluster])),
-                "mean_m": float(np.mean([c[0] * c[1] for c in per_cluster])),
-            })
-    return rows
-
-
-def render_micro_reference() -> str:
-    """Text table of the micro reference scores (3 decimal places)."""
-    lines = [f"{'dataset':8} {'clustering':10} {'per-cluster (1-U, H)':44} "
-             f"{'mean(1-U)':>9} {'meanM':>7}"]
-    for row in micro_reference_rows():
-        pc = "  ".join(f"({u:.3f}, {h:.3f})" for u, h in row["per_cluster"])
-        lines.append(f"{row['dataset']:8} {row['clustering']:10} {pc:44} "
-                     f"{row['mean_one_minus_u']:9.3f} {row['mean_m']:7.3f}")
-    return "\n".join(lines)

@@ -1,4 +1,5 @@
-"""Fitness, operational metrics, and the legacy entropy-based score."""
+"""Fitness, operational metrics, the legacy entropy-based score and the Table-1
+micro reference that compares the two."""
 from __future__ import annotations
 
 import math
@@ -74,15 +75,6 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
     return w * K + u_mean, K, u_mean
 
 
-def cluster_utility(traffic: TrafficDay, members: Iterable[int]) -> float:
-    """Mean absolute deviation of the cluster's hourly sums from 1."""
-    idx = np.fromiter(members, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("cluster has no members")
-    sums = traffic.values[idx].sum(axis=0)
-    return float(np.abs(sums - 1.0).mean())
-
-
 def metrics(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) -> MetricsReport:
     """Operational report: K, mean utility U, and its delay/under-use split.
 
@@ -135,28 +127,62 @@ def legacy_score(members: Iterable[int], traffic: TrafficDay, m: int = 1) -> Leg
                        m_product=u_legacy * h_entropy, peak_hours=peaks)
 
 
-def legacy_terms(clustering: Clustering, traffic: TrafficDay,
-                 m: int = 1) -> list[tuple[float, float]]:
-    """Per-cluster (1 - U(C_k), entropy(C_k)) pairs, in label order.
+# Micro reference instances: six 3-point, 3-hour traffic tables whose scores
+# are small enough to check by hand, under five fixed clusterings.
 
-    Uses the deviation-from-1 utility of :func:`cluster_utility` (not the
-    exponent form) and the peak-hour entropy of :func:`legacy_score`.
+MICRO_TRAFFIC = {
+    "ds1": [[0.8, 0.5, 0.3], [0.2, 0.7, 0.1], [0.2, 0.6, 0.7]],
+    "ds2": [[0.8, 0.5, 0.3], [0.7, 0.2, 0.1], [0.2, 0.6, 0.7]],
+    "ds3": [[0.8, 0.5, 0.3], [0.7, 0.2, 0.1], [0.7, 0.6, 0.2]],
+    "ds4": [[0.18, 0.15, 0.13], [0.12, 0.17, 0.11], [0.12, 0.16, 0.17]],
+    "ds5": [[0.18, 0.15, 0.13], [0.17, 0.12, 0.11], [0.12, 0.16, 0.17]],
+    "ds6": [[0.18, 0.15, 0.13], [0.17, 0.12, 0.11], [0.17, 0.16, 0.12]],
+}
+
+MICRO_CLUSTERINGS = [
+    ("12, 3", (1, 1, 2)),
+    ("13, 2", (1, 2, 1)),
+    ("1, 23", (1, 2, 2)),
+    ("1, 2, 3", (1, 2, 3)),
+    ("123", (1, 1, 1)),
+]
+
+
+def micro_reference_rows() -> list[dict]:
+    """Score every micro instance under every fixed clustering.
+
+    Each row carries per-cluster (1 - U, entropy) pairs in label order, with
+    U the mean deviation of the cluster's hourly sums from 1 (not the exponent
+    form of :func:`legacy_score`) and the entropy its peak-hour entropy, plus
+    their means; meanM is the cluster-mean of (1 - U) * entropy.
     """
-    terms = []
-    for k in range(1, clustering.K + 1):
-        mem = np.flatnonzero(clustering.labels == k)
-        terms.append((1.0 - cluster_utility(traffic, mem),
-                      legacy_score(mem, traffic, m).h_entropy))
-    return terms
+    rows = []
+    for ds_name, table in MICRO_TRAFFIC.items():
+        traffic = TrafficDay(values=np.array(table, dtype=float))
+        for label, labs in MICRO_CLUSTERINGS:
+            labels = np.array(labs, dtype=np.int64)
+            one_minus_u = 1.0 - np.abs(cluster_sums(labels, traffic.values) - 1.0).mean(axis=1)
+            per_cluster = [(float(v), legacy_score(np.flatnonzero(labels == k), traffic).h_entropy)
+                           for k, v in enumerate(one_minus_u, start=1)]
+            rows.append({
+                "dataset": ds_name,
+                "clustering": label,
+                "per_cluster": per_cluster,
+                "mean_one_minus_u": float(np.mean([c[0] for c in per_cluster])),
+                "mean_m": float(np.mean([c[0] * c[1] for c in per_cluster])),
+            })
+    return rows
 
 
-def legacy_mean_m(clustering: Clustering, traffic: TrafficDay, m: int = 1) -> float:
-    """Cluster-mean of (1 - U(C_k)) * entropy(C_k), from :func:`legacy_terms`.
-
-    A cluster is rewarded for both tight hourly sums and diverse member peak
-    hours.
-    """
-    return float(np.mean([u * ent for u, ent in legacy_terms(clustering, traffic, m)]))
+def render_micro_reference() -> str:
+    """Text table of the micro reference scores (3 decimal places)."""
+    lines = [f"{'dataset':8} {'clustering':10} {'per-cluster (1-U, H)':44} "
+             f"{'mean(1-U)':>9} {'meanM':>7}"]
+    for row in micro_reference_rows():
+        pc = "  ".join(f"({u:.3f}, {h:.3f})" for u, h in row["per_cluster"])
+        lines.append(f"{row['dataset']:8} {row['clustering']:10} {pc:44} "
+                     f"{row['mean_one_minus_u']:9.3f} {row['mean_m']:7.3f}")
+    return "\n".join(lines)
 
 
 def _check_shapes(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) -> None:

@@ -23,10 +23,9 @@ VARIANTS = ("split", "rand", "copy")
 # array scored again (a carried-over population, greedy's "stay") is seen again.
 AuditHook = Callable[[np.ndarray], None]
 
-# Scores one label array on one day's (N, H) traffic and returns its f. An
-# optional third argument, the array's (K, H) rows |cluster_sums - 1|, spares
-# the kernel recomputing them (see ``fitness_parts``).
-Scorer = Callable[..., float]
+# Scores one label array on one day's (N, H) traffic, given the array's (K, H)
+# rows |cluster_sums - 1|, and returns its f (see ``fitness_parts``).
+Scorer = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 
 # A solver's day-by-day search: given the tau neighbour lists, each day's
 # (N, H) traffic and the scorer, it yields per day the labels to deploy, the
@@ -234,7 +233,7 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
             raise ValueError(f"traffic has {t.n_hours} hours but config.H = {problem.H}")
     values_by_day = [t.values for t in traffic_by_day]
 
-    def score(labels: np.ndarray, values: np.ndarray, dev: np.ndarray | None = None) -> float:
+    def score(labels: np.ndarray, values: np.ndarray, dev: np.ndarray) -> float:
         if audit is not None:
             audit(labels)
         return fitness_parts(labels, values, problem.w, dev)[0]

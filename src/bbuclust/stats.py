@@ -23,7 +23,6 @@ class ComparisonResult:
     n: int
     k: int
     mean_ranks: np.ndarray
-    mean_values: np.ndarray
     statistic: float
     p_value: float
     alpha: float
@@ -149,7 +148,6 @@ def friedman_nemenyi(values: np.ndarray, alpha: float = 0.05,
     pairwise = gaps >= cd
     np.fill_diagonal(pairwise, False)
     return ComparisonResult(names=tuple(names), n=n, k=k, mean_ranks=mean_ranks,
-                            mean_values=v.mean(axis=0), statistic=float(stat),
-                            p_value=float(p), alpha=float(alpha),
+                            statistic=float(stat), p_value=float(p), alpha=float(alpha),
                             critical_difference=float(cd),
                             significant=bool(p < alpha), pairwise=pairwise)

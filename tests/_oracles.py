@@ -5,11 +5,13 @@ the library: everything is nested loops over Python lists. The exceptions are
 kept verbatim from earlier versions of the library, as the references their
 replacements must reproduce exactly: ``dense_distance``, the former dense
 N x N distance matrix, ``reference_read_csvs``, the former row-by-row CSV
-reader, ``reference_save_dataset``, the former row-by-row CSV writer, and
+reader, ``reference_save_dataset``, the former row-by-row CSV writer,
 ``reference_run_ea``, the former EA loop that scores every individual with
-the full fitness kernel, and the candidate operators ``_initial_labels``,
-``_grow``, ``_joinable``, ``_move``, ``_mutate_labels`` and ``_split_labels``
-as they were before they were rewritten without changing a draw or a label.
+the full fitness kernel, ``reference_cluster_utility``, the former per-member
+cluster utility the micro reference's 1 - U must equal, and the candidate
+operators ``_initial_labels``, ``_grow``, ``_joinable``, ``_move``,
+``_mutate_labels`` and ``_split_labels`` as they were before they were
+rewritten without changing a draw or a label.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from bbuclust import solvers
 from bbuclust.model import PointSet, TrafficDay, build_distance_matrix, renumber
+from bbuclust.objective import cluster_sums
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
 
@@ -223,10 +226,15 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return renumber(new)
 
 
+def _rows(labels, values):
+    return np.abs(cluster_sums(labels, values) - 1.0)
+
+
 def reference_run_ea(point_set, traffic_by_day, config, problem):
     """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim
     except that it seeds, mutates and splits through the frozen operators above, so
-    drift in the live ones shows here too.
+    drift in the live ones shows here too, and hands the scorer each array's rows
+    |cluster_sums - 1| computed from scratch.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -242,7 +250,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
                     pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
-            fits = np.array([score(lab, values) for lab in pop])
+            fits = np.array([score(lab, values, _rows(lab, values)) for lab in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
@@ -252,7 +260,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
             for _ in range(config.maxgen):
                 offspring = [_mutate_labels(lab, nbrs, config.prob, rng)[0]
                              for lab in pop]
-                off_fits = np.array([score(lab, values) for lab in offspring])
+                off_fits = np.array([score(lab, values, _rows(lab, values)) for lab in offspring])
                 evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])
@@ -263,6 +271,15 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
             yield pop[0], trace, evals
 
     return solvers._solve_days(point_set, traffic_by_day, problem, search, None)
+
+
+def reference_cluster_utility(values: np.ndarray, members) -> float:
+    """Mean absolute deviation of the members' summed hourly traffic from 1."""
+    idx = np.fromiter(members, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("cluster has no members")
+    sums = values[idx].sum(axis=0)
+    return float(np.abs(sums - 1.0).mean())
 
 
 def pure_fitness(labels, values, w):

@@ -90,7 +90,7 @@ def _close(computed: float, expected: float) -> bool:
 def test_criterion_01_micro_table():
     with criterion(1, "micro-table reproduction"):
         t0 = time.perf_counter()
-        rows = harness.micro_reference_rows()
+        rows = objective.micro_reference_rows()
         assert len(rows) == 30
         for row in rows:
             key = (row["dataset"], row["clustering"])

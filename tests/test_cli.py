@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+import bbuclust
 from bbuclust import cli
 
 
@@ -97,6 +98,24 @@ def test_table1_output(capsys):
     out = capsys.readouterr().out
     assert "1.004" in out
     assert "ds6" in out
+
+
+@pytest.mark.parametrize("flags", [["--days", "0"], ["--days", "-2"], ["--hours", "0"]],
+                         ids=["no-days", "negative-days", "no-hours"])
+def test_gen_dataset_rejects_empty_sizes(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    assert cli.main(["gen-dataset", "--type", "1a", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == "" and not out.exists()
+
+
+def test_public_names_resolve_once():
+    names = bbuclust.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(bbuclust, name), name
 
 
 def test_error_exits(ds_dir, tmp_path, capsys):

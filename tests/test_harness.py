@@ -225,13 +225,3 @@ def test_duplicate_algorithm_names_rejected(small_ds):
     with pytest.raises(ValueError, match="duplicate"):
         harness.run_experiment(harness.ExperimentSpec(dataset=small_ds, algorithms=algs,
                                                       runs=2, tau=6.0))
-
-
-def test_micro_reference_rows():
-    rows = harness.micro_reference_rows()
-    assert len(rows) == 30  # six instances x five clusterings
-    by_key = {(r["dataset"], r["clustering"]): r for r in rows}
-    assert round(by_key[("ds1", "123")]["mean_m"], 3) == 1.004
-    assert round(by_key[("ds2", "1, 23")]["mean_one_minus_u"], 3) == 0.683
-    text = harness.render_micro_reference()
-    assert "meanM" in text and "ds6" in text

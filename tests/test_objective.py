@@ -6,19 +6,11 @@ from hypothesis import given, strategies as st
 
 from bbuclust import model, objective
 from conftest import random_clustering
-from _oracles import pure_fitness, pure_metrics
+from _oracles import pure_fitness, pure_metrics, reference_cluster_utility
 
 
 def _problem(h, w=0.01):
     return model.ProblemConfig(w=w, tau=1.0, H=h)
-
-
-def test_cluster_utility():
-    t = model.TrafficDay(values=[[0.8, 0.5], [0.4, 0.6]])
-    # sums (1.2, 1.1) -> mean |dev| = (0.2 + 0.1) / 2
-    assert objective.cluster_utility(t, {0, 1}) == pytest.approx(0.15)
-    with pytest.raises(ValueError):
-        objective.cluster_utility(t, set())
 
 
 def test_fitness_hand_value():
@@ -129,13 +121,26 @@ def test_legacy_score_errors():
         objective.legacy_score(set(), t)
 
 
-def test_legacy_mean_m_micro_values():
-    # Worked micro instance: mean over clusters of (1 - U) * entropy.
-    t = model.TrafficDay(values=[[0.8, 0.5, 0.3], [0.2, 0.7, 0.1], [0.2, 0.6, 0.7]])
-    m12_3 = objective.legacy_mean_m(model.Clustering(labels=[1, 1, 2]), t)
-    assert round(m12_3, 3) == 0.367
-    m123 = objective.legacy_mean_m(model.Clustering(labels=[1, 1, 1]), t)
-    assert round(m123, 3) == 1.004
+def test_micro_reference_rows():
+    rows = objective.micro_reference_rows()
+    assert len(rows) == 30  # six instances x five clusterings
+    by_key = {(r["dataset"], r["clustering"]): r for r in rows}
+    assert round(by_key[("ds1", "123")]["mean_m"], 3) == 1.004
+    assert round(by_key[("ds2", "1, 23")]["mean_one_minus_u"], 3) == 0.683
+    text = objective.render_micro_reference()
+    assert "meanM" in text and "ds6" in text
+
+
+def test_micro_reference_matches_per_member_utility():
+    labelings = dict(objective.MICRO_CLUSTERINGS)
+    for row in objective.micro_reference_rows():
+        values = np.array(objective.MICRO_TRAFFIC[row["dataset"]], dtype=float)
+        labels = np.array(labelings[row["clustering"]])
+        want = [1.0 - reference_cluster_utility(values, np.flatnonzero(labels == k))
+                for k in range(1, labels.max() + 1)]
+        assert [u for u, _ in row["per_cluster"]] == want
+        hs = [h for _, h in row["per_cluster"]]
+        assert row["mean_m"] == float(np.mean([u * h for u, h in zip(want, hs)]))
 
 
 def test_entropy_matches_pure_oracle(rng):
