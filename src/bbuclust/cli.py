@@ -6,20 +6,20 @@ import json
 import sys
 from pathlib import Path
 
-from . import datasets, harness, objective
+from . import datasets, forecast, harness, objective, stats
 
 
 def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="dataset directory (manifest + CSVs)")
     p.add_argument("--algorithms", default="splitea,greedy",
-                   help="comma-separated subset of: splitea,randea,copyea,greedy")
+                   help="comma-separated subset of: " + ",".join(harness.ALGORITHM_PRESETS))
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--seed", type=int, default=0, help="base seed; per-run seeds derive from it")
     p.add_argument("--w", type=float, default=0.01)
     p.add_argument("--tau", type=float, default=None,
                    help="absolute distance cap (default: 3x the mean nearest-neighbour distance)")
-    p.add_argument("--forecaster", choices=["oracle", "persistence"], default="oracle")
-    p.add_argument("--alpha", type=float, default=0.05, choices=[0.05, 0.10])
+    p.add_argument("--forecaster", choices=forecast.FORECASTERS, default="oracle")
+    p.add_argument("--alpha", type=float, default=0.05, choices=stats.Q_ALPHA)
     p.add_argument("--popsize", type=int, default=10)
     p.add_argument("--maxgen", type=int, default=150)
     p.add_argument("--prob", type=float, default=0.5)
@@ -94,12 +94,14 @@ def _cmd_export_curves(args) -> int:
     return 0
 
 
+# gen-dataset's size flags and their types: every kind's size arguments (a kind
+# rejects those it does not take), plus ``hours``.
+_SIZE_TYPES = {**{k: type(d) for sizes in datasets.SIZES.values() for k, d in sizes.items()},
+               "hours": int}
+
+
 def _cmd_gen_dataset(args) -> int:
-    sizes = {}
-    for key in ("n_points", "box", "n_groups", "np_max", "ng", "nt", "tau_gen", "hours"):
-        v = getattr(args, key)
-        if v is not None:
-            sizes[key] = v
+    sizes = {k: getattr(args, k) for k in _SIZE_TYPES if getattr(args, k) is not None}
     ds = datasets.make_dataset(args.type, seed=args.seed, n_days=args.days,
                                name=args.name, **sizes)
     out = datasets.save_dataset(ds, args.out)
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="aggregate stored run records")
     p.add_argument("--records", action="append", required=True)
-    p.add_argument("--alpha", type=float, default=0.05, choices=[0.05, 0.10])
+    p.add_argument("--alpha", type=float, default=0.05, choices=stats.Q_ALPHA)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_compare)
 
@@ -148,14 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=7)
     p.add_argument("--name", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-points", dest="n_points", type=int, default=None)
-    p.add_argument("--box", type=float, default=None)
-    p.add_argument("--n-groups", dest="n_groups", type=int, default=None)
-    p.add_argument("--np-max", dest="np_max", type=int, default=None)
-    p.add_argument("--ng", type=int, default=None)
-    p.add_argument("--nt", type=int, default=None)
-    p.add_argument("--tau-gen", dest="tau_gen", type=float, default=None)
-    p.add_argument("--hours", type=int, default=None)
+    for key, cast in _SIZE_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None)
     p.set_defaults(fn=_cmd_gen_dataset)
 
     p = sub.add_parser("table1", help="print the micro reference score table")

@@ -23,7 +23,19 @@ import numpy as np
 
 from .model import PointSet, TrafficDay, build_distance_matrix
 
-KINDS = ("1a", "2a", "2b", "3a", "1c-milan", "1c-songliao")
+# Each kind's size arguments and their defaults.
+SIZES = {
+    "1a": {"n_points": 150, "box": 100.0},
+    "2a": {"n_groups": 30, "np_max": 5, "tau_gen": 10.0},
+    "2b": {"n_groups": 30, "np_max": 10, "tau_gen": 10.0},
+    "3a": {"ng": 100, "nt": 158, "tau_gen": 10.0},
+    "1c-milan": {"n_points": 150, "box": 100.0},
+    "1c-songliao": {"n_points": 150, "box": 100.0},
+}
+KINDS = tuple(SIZES)
+
+# Tries to place one group centre or scatter point before a layout gives up.
+MAX_TRIES = 10_000
 
 # Hours where the patterned templates hold their plateau (union over draws).
 MILAN_PLATEAU_HOURS = tuple(range(12, 18))
@@ -75,8 +87,7 @@ def gen_locations_random(n_points: int, box: float, rng: np.random.Generator) ->
 
 
 def gen_locations_cohesive(n_groups: int, np_max: int, tau: float,
-                           rng: np.random.Generator,
-                           max_tries: int = 10_000) -> tuple[np.ndarray, list[list[int]]]:
+                           rng: np.random.Generator) -> tuple[np.ndarray, list[list[int]]]:
     """Groups of 1..np_max points, each inside a disc of radius tau/2.
 
     Within a group all pairwise distances are strictly below tau; group
@@ -88,7 +99,7 @@ def gen_locations_cohesive(n_groups: int, np_max: int, tau: float,
     side = 4.4 * tau * max(math.ceil(math.sqrt(n_groups)), 1) + 4.4 * tau
     centers: list[np.ndarray] = []
     for _ in range(n_groups):
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             c = rng.uniform(0.0, side, size=2)
             if all(float(np.hypot(*(c - prev))) > 2.2 * tau for prev in centers):
                 centers.append(c)
@@ -107,8 +118,8 @@ def gen_locations_cohesive(n_groups: int, np_max: int, tau: float,
     return np.vstack(positions), groups
 
 
-def gen_locations_core_scatter(ng: int, nt: int, tau: float, rng: np.random.Generator,
-                               max_tries: int = 10_000) -> np.ndarray:
+def gen_locations_core_scatter(ng: int, nt: int, tau: float,
+                               rng: np.random.Generator) -> np.ndarray:
     """ng tightly packed core points plus nt - ng isolated scatter points.
 
     Core points sit inside a disc of radius tau/10 (pairwise far below tau);
@@ -124,7 +135,7 @@ def gen_locations_core_scatter(ng: int, nt: int, tau: float, rng: np.random.Gene
     placed = [core]
     for _ in range(n_scatter):
         existing = np.vstack(placed)
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             p = rng.uniform(0.0, side, size=2)
             if float(np.hypot(existing[:, 0] - p[0], existing[:, 1] - p[1]).min()) > 2.05 * tau:
                 placed.append(p[None, :])
@@ -213,57 +224,39 @@ def gen_traffic_patterned(n_points: int, n_days: int, pattern: str,
 
 
 def make_dataset(kind: str, seed: int, n_days: int = 7, name: str | None = None,
-                 **sizes) -> Dataset:
+                 hours: int = 24, **sizes) -> Dataset:
     """Generate one of the named dataset kinds deterministically from a seed.
 
-    Size knobs (all optional, with kind-specific defaults): ``n_points``,
-    ``hours``, ``box``, ``n_groups``, ``np_max``, ``ng``, ``nt``, ``tau_gen``.
+    ``sizes`` may set any of the kind's size arguments in ``SIZES[kind]``;
+    the rest take the defaults listed there.
     """
-    if kind not in KINDS:
+    if kind not in SIZES:
         raise ValueError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
-    hours = int(sizes.pop("hours", 24))
+    extra = sorted(set(sizes) - set(SIZES[kind]))
+    if extra:
+        raise ValueError(f"kind {kind!r} takes the size arguments {list(SIZES[kind])}, "
+                         f"not {extra}")
     if n_days < 1 or hours < 1:
         raise ValueError(f"need at least one day and one hour, got {n_days} days "
                          f"and {hours} hours")
+    params = {k: type(d)(sizes.get(k, d)) for k, d in SIZES[kind].items()}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if "n_points" in params:
+        positions = gen_locations_random(params["n_points"], params["box"], rng)
+    elif "ng" in params:
+        positions = gen_locations_core_scatter(params["ng"], params["nt"], params["tau_gen"], rng)
+    else:
+        positions, groups = gen_locations_cohesive(params["n_groups"], params["np_max"],
+                                                   params["tau_gen"], rng)
+    n_points = positions.shape[0]
     optimal_labels: tuple[int, ...] | None = None
-    params: dict = {}
-
-    if kind in ("1a", "1c-milan", "1c-songliao"):
-        n_points = int(sizes.pop("n_points", 150))
-        box = float(sizes.pop("box", 100.0))
-        _reject_extra(sizes)
-        positions = gen_locations_random(n_points, box, rng)
-        params.update(n_points=n_points, box=box)
-        if kind == "1a":
-            traffic = gen_traffic_random(n_points, n_days, hours, rng)
-        else:
-            pattern = kind.split("-", 1)[1]
-            traffic = gen_traffic_patterned(n_points, n_days, pattern, rng, hours=hours)
-    elif kind in ("2a", "2b"):
-        n_groups = int(sizes.pop("n_groups", 30))
-        np_max = int(sizes.pop("np_max", 5 if kind == "2a" else 10))
-        tau_gen = float(sizes.pop("tau_gen", 10.0))
-        _reject_extra(sizes)
-        positions, groups = gen_locations_cohesive(n_groups, np_max, tau_gen, rng)
-        n_points = positions.shape[0]
-        params.update(n_groups=n_groups, np_max=np_max, tau_gen=tau_gen)
-        if kind == "2a":
-            traffic = gen_traffic_random(n_points, n_days, hours, rng)
-        else:
-            traffic = gen_traffic_known_optimum(groups, n_points, n_days, hours, rng)
-            labels = np.zeros(n_points, dtype=int)
-            for k, g in enumerate(groups, start=1):
-                labels[g] = k
-            optimal_labels = tuple(int(v) for v in labels)
-    else:  # "3a"
-        ng = int(sizes.pop("ng", 100))
-        nt = int(sizes.pop("nt", 158))
-        tau_gen = float(sizes.pop("tau_gen", 10.0))
-        _reject_extra(sizes)
-        positions = gen_locations_core_scatter(ng, nt, tau_gen, rng)
-        n_points = nt
-        params.update(ng=ng, nt=nt, tau_gen=tau_gen)
+    if kind == "2b":
+        traffic = gen_traffic_known_optimum(groups, n_points, n_days, hours, rng)
+        # The groups are consecutive runs of point ids, in order.
+        optimal_labels = tuple(k for k, g in enumerate(groups, start=1) for _ in g)
+    elif kind.startswith("1c-"):
+        traffic = gen_traffic_patterned(n_points, n_days, kind[3:], rng, hours=hours)
+    else:
         traffic = gen_traffic_random(n_points, n_days, hours, rng)
 
     manifest = DatasetManifest(
@@ -332,11 +325,6 @@ def load_csv_dataset(locations_path: str | Path, traffic_path: str | Path,
         hours=traffic[0].n_hours, distance_metric=metric, seed=0,
         generator_params={}, provenance="csv", optimal_labels=None)
     return Dataset(manifest=manifest, point_set=point_set, traffic=traffic)
-
-
-def _reject_extra(sizes: dict) -> None:
-    if sizes:
-        raise TypeError(f"unexpected size arguments: {sorted(sizes)}")
 
 
 # One row of each input CSV; the field names are its expected header.

@@ -57,7 +57,7 @@ def standard_algorithms(names: Sequence[str], popsize: int = 10, maxgen: int = 1
     for name in names:
         if name == "greedy":
             out.append(AlgorithmSpec(name=name, kind="greedy", popsize=popsize, budget=budget))
-        elif name in ("splitea", "randea", "copyea"):
+        elif name in ALGORITHM_PRESETS:
             out.append(AlgorithmSpec(name=name, kind="ea", popsize=popsize, maxgen=maxgen,
                                      prob=prob, variant=name.removesuffix("ea")))
         else:
@@ -154,14 +154,14 @@ class ExperimentResult:
     table: ResultTable
 
 
-def stable_hash64(text: str) -> int:
-    """Deterministic 64-bit hash (the builtin hash() is salted per process)."""
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def run_seed(base_seed: int, algorithm: str, run: int) -> int:
-    """Derive the per-(algorithm, run) seed from the experiment base seed."""
-    return (base_seed ^ stable_hash64(f"{algorithm}:{run}")) & ((1 << 63) - 1)
+    """Derive the per-(algorithm, run) seed from the experiment base seed.
+
+    It mixes in the first 8 bytes of a sha256 of ``algorithm:run``: the
+    builtin ``hash()`` is salted per process.
+    """
+    digest = hashlib.sha256(f"{algorithm}:{run}".encode()).digest()
+    return (base_seed ^ int.from_bytes(digest[:8], "big")) & ((1 << 63) - 1)
 
 
 def resolve_tau(point_set: PointSet, value: float | None = None) -> float:

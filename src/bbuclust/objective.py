@@ -81,14 +81,18 @@ def metrics(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) 
     Udelay charges hourly overload (sum above 1), Uunder1 charges idle
     capacity (sum at or below 1); U = Udelay + Uunder1 and f = w*K + U.
     """
-    _check_shapes(clustering, traffic, config)
+    if clustering.n_points != traffic.n_points:
+        raise ValueError(
+            f"clustering has {clustering.n_points} points but traffic has {traffic.n_points}")
+    if traffic.n_hours != config.H:
+        raise ValueError(f"traffic has {traffic.n_hours} hours but config.H = {config.H}")
     sums = cluster_sums(clustering.labels, traffic.values)
-    K, H = sums.shape
+    dev = np.abs(sums - 1.0)
+    f, K, u = fitness_parts(clustering.labels, traffic.values, config.w, dev)
     over = sums > 1.0
-    udelay = float((sums - 1.0)[over].sum() / (K * H))
-    uunder = float((1.0 - sums)[~over].sum() / (K * H))
-    u = float(np.abs(sums - 1.0).sum() / (K * H))
-    return MetricsReport(K=K, U=u, Udelay=udelay, Uunder1=uunder, f=config.w * K + u)
+    udelay = float(dev[over].sum() / dev.size)
+    uunder = float(dev[~over].sum() / dev.size)
+    return MetricsReport(K=K, U=u, Udelay=udelay, Uunder1=uunder, f=f)
 
 
 def peak_hours(point_traffic: np.ndarray, m: int = 1) -> set[int]:
@@ -183,11 +187,3 @@ def render_micro_reference() -> str:
         lines.append(f"{row['dataset']:8} {row['clustering']:10} {pc:44} "
                      f"{row['mean_one_minus_u']:9.3f} {row['mean_m']:7.3f}")
     return "\n".join(lines)
-
-
-def _check_shapes(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) -> None:
-    if clustering.n_points != traffic.n_points:
-        raise ValueError(
-            f"clustering has {clustering.n_points} points but traffic has {traffic.n_points}")
-    if traffic.n_hours != config.H:
-        raise ValueError(f"traffic has {traffic.n_hours} hours but config.H = {config.H}")

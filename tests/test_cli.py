@@ -100,11 +100,15 @@ def test_table1_output(capsys):
     assert "ds6" in out
 
 
-@pytest.mark.parametrize("flags", [["--days", "0"], ["--days", "-2"], ["--hours", "0"]],
-                         ids=["no-days", "negative-days", "no-hours"])
+@pytest.mark.parametrize("flags", [
+    ["--type", "1a", "--days", "0"],
+    ["--type", "1a", "--days", "-2"],
+    ["--type", "1a", "--hours", "0"],
+    ["--type", "3a", "--n-points", "5"],
+], ids=["no-days", "negative-days", "no-hours", "size-of-other-kind"])
 def test_gen_dataset_rejects_empty_sizes(tmp_path, capsys, flags):
     out = tmp_path / "x"
-    assert cli.main(["gen-dataset", "--type", "1a", *flags, "--out", str(out)]) == 1
+    assert cli.main(["gen-dataset", *flags, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

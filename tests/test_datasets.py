@@ -120,7 +120,7 @@ def test_make_dataset_kinds():
             assert m.optimal_labels is None
     with pytest.raises(ValueError):
         datasets.make_dataset("9z", seed=0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"\['n_points', 'box'\], not \['widgets'\]"):
         datasets.make_dataset("1a", seed=0, widgets=3)
 
 
