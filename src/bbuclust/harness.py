@@ -217,6 +217,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     ds = spec.dataset
     if spec.runs < 1:
         raise ValueError(f"runs must be >= 1, got {spec.runs}")
+    if spec.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {spec.workers}")
     names = [a.name for a in spec.algorithms]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names: {names}")
@@ -331,6 +333,8 @@ def sweep(spec: ExperimentSpec, param: str, values: Sequence[float],
     ``param`` is one of "w", "tau", "prob", "budget". A budget sweep keeps
     popsize and rescales EA generations so per-day budgets stay matched.
     """
+    if param == "budget" and (bad := [v for v in values if not float(v).is_integer()]):
+        raise ValueError(f"budget must be a whole number of evaluations, got {bad[0]}")
     out = []
     for v in values:
         if param == "w":

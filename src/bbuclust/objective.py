@@ -71,7 +71,7 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
         dev -= 1.0
         np.abs(dev, out=dev)
     K, H = dev.shape
-    u_mean = float(dev.sum() / (K * H))
+    u_mean = float(np.add.reduce(dev, None) / (K * H))  # dev.sum(), less its Python wrapper
     return w * K + u_mean, K, u_mean
 
 

@@ -133,7 +133,9 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
             size += start - lo
         lo = end
         if mem:
-            row = (values[mem[0]:mem[0] + 1] if len(mem) == 1 else
+            a = mem[0]
+            row = (values[a:a + 1] if len(mem) == 1 else values[a:a + 1] + values[mem[1]]
+                   if len(mem) == 2 else
                    np.add.accumulate(values.take(mem, axis=0), axis=0)[-1:]) - 1.0
             pieces.append(np.abs(row, out=row))
             size += 1
@@ -166,18 +168,27 @@ def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.n
 
 
 def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequence[list[int]],
-                   prob: float, rng: np.random.Generator) -> tuple[np.ndarray, list[tuple]]:
+                   prob: float, rng: np.random.Generator, memo: list | None = None
+                   ) -> tuple[np.ndarray, list[tuple]]:
     """Move one point x (isolated points preferred) between feasible clusters.
 
     Returns the child before renumbering (a new cluster is K + 1) and the
     clusters it regroups for ``_regroup``: none for the unchanged copy, else
     x's own, then the one x joins, or the one x pulls from and the new one.
+    ``memo`` is ``labels``' own cache, empty at first: this fills it with
+    ``bincount(labels)`` and, once drawn from, the singleton clusters' points.
     """
-    counts = np.bincount(labels)  # its length, K + 1, is a new cluster's label
-    if rng.random() < prob and (iso := np.flatnonzero(counts[labels] == 1)).size:
-        x = int(iso[rng.integers(iso.size)])
-    else:
-        x = int(rng.integers(labels.size))
+    memo = [] if memo is None else memo
+    if not memo:
+        memo.append(np.bincount(labels))  # its length, K + 1, is a new cluster's label
+    counts, iso = memo[0], ()
+    if rng.random() < prob:
+        if len(memo) == 1:
+            memo.append(np.flatnonzero(counts[labels] == 1))
+        iso = memo[1]
+    x = int(iso[rng.integers(len(iso))] if len(iso) else rng.integers(labels.size))
+    if len(rows[x]) == 1:  # no point within tau of x, which is alone: the unchanged copy
+        return labels.copy(), []
     kx = int(labels[x])
     joinable, inside = _joinable(labels, nbrs[x], kx, counts)
     if joinable:
@@ -192,9 +203,7 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequenc
         mc = np.flatnonzero(labels == c).tolist()  # c is not wholly within the row
         return new, [rest, (c, [p for p in mc if p not in pulled], mc[0]),
                      (counts.size, sorted([x, *pulled]), -1)]
-    if len(mx) == 1:  # nothing reachable and x already alone: the unchanged copy
-        return new, []
-    new[x] = counts.size  # nothing reachable: x is isolated
+    new[x] = counts.size  # only its own cluster's points in reach: x is isolated
     return new, [rest, (counts.size, [x], -1)]
 
 
@@ -267,7 +276,9 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
 
     Each individual carries its rows ``|cluster_sums - 1|``; an offspring's
     are built from its parent's (``_regroup``), at most three summed again,
-    except a seed individual's, which is renumbered and summed in full.
+    except a seed individual's, which is renumbered and summed in full. The
+    unchanged copy is its parent's own entry, and each entry keeps the
+    bookkeeping ``_mutate_labels`` works out for it.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -284,11 +295,12 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                     labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
-            # (labels, rows summed in full once a day, labels in first-appearance order)
+            # (labels, rows summed in full once a day, labels in first-appearance
+            # order, _mutate_labels' memo)
             pop = [(lab, np.abs(cluster_sums(lab, values) - 1.0),
-                    np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1)
+                    np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1, [])
                    for lab in labels]
-            fits = np.array([score(lab, values, dev) for lab, dev, _ in pop])
+            fits = np.array([score(lab, values, dev) for lab, dev, *_ in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
@@ -297,16 +309,17 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
 
             for _ in range(config.maxgen):
                 offspring = []
-                for lab, dev, canon in pop:
-                    new, groups = _mutate_labels(lab, nbrs, rows, config.prob, rng)
-                    if not groups:
-                        offspring.append((new, dev, canon))
+                for parent in pop:
+                    lab, dev, canon, memo = parent
+                    new, groups = _mutate_labels(lab, nbrs, rows, config.prob, rng, memo)
+                    if not groups:  # the unchanged copy is its parent's entry
+                        offspring.append(parent)
                     elif canon:
-                        offspring.append((*_regroup(lab, dev, values, new, groups), True))
+                        offspring.append((*_regroup(lab, dev, values, new, groups), True, []))
                     else:  # a seed individual's child: renumbered and summed in full
                         new = renumber(new)
-                        offspring.append((new, np.abs(cluster_sums(new, values) - 1.0), True))
-                off_fits = np.array([score(lab, values, dev) for lab, dev, _ in offspring])
+                        offspring.append((new, np.abs(cluster_sums(new, values) - 1.0), True, []))
+                off_fits = np.array([score(lab, values, dev) for lab, dev, *_ in offspring])
                 evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])

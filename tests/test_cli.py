@@ -92,6 +92,22 @@ def test_sweep_cmd(ds_dir, tmp_path, capsys):
     assert (out / "records-w-0.1.ndjson").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "--param", "budget", "--values", "20,20.9"], "20.9"),
+    (["run", "--workers", "-3"], "-3"),
+    (["run", "--workers", "0"], "0"),
+], ids=["fractional-budget", "negative-workers", "no-workers"])
+def test_run_and_sweep_reject_bad_counts(ds_dir, tmp_path, capsys, argv, named):
+    # Rejected before anything runs: one error line naming the value, no output.
+    out = tmp_path / "res"
+    assert cli.main([argv[0], "--dataset", str(ds_dir), *RUN_FLAGS, *argv[1:],
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert captured.out == "" and not out.exists()
+
+
 def test_table1_output(capsys):
     rc = cli.main(["table1"])
     assert rc == 0

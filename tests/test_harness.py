@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,10 @@ def test_sweep_w_and_budget(small_ds):
         assert all(d.evals_used in (12, 12 + 4) for d in r.days)
     with pytest.raises(ValueError, match="divisible"):
         harness.sweep(spec, "budget", [13])
+    with pytest.raises(ValueError, match="12.5"):  # not truncated to 12
+        harness.sweep(spec, "budget", [12, 12.5])
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        harness.run_experiment(replace(spec, workers=0))
     with pytest.raises(ValueError, match="sweep parameter"):
         harness.sweep(spec, "popsize", [5])
 

@@ -50,6 +50,22 @@ def test_fitness_parts_bit_exact(n, h, w, data):
     assert objective.fitness_parts(labels, values, w) == (w * K + u, K, u)
 
 
+@pytest.mark.parametrize("kh", [1, 7, 8, 9, 127, 128, 129, 1680, 43200])
+def test_fitness_parts_sums_rows_as_ndarray_sum(kh):
+    # Sizes around numpy's pairwise-summation blocks (8 and 128 items), with
+    # rows of all zeros among them; w = 0 leaves f = u_mean.
+    rng = np.random.default_rng(kh)
+    for K in sorted({1, *(k for k in (2, 3, 24, 120) if kh % k == 0), kh}):
+        dev = rng.random((K, kh // K)) * rng.choice([1e-3, 1.0, 1e3], size=(K, 1))
+        dev[rng.random(K) < 0.3] = 0.0
+        labels = np.arange(1, K + 1)
+        for w in (0.0, 0.01):
+            want = float(dev.sum() / dev.size)
+            assert objective.fitness_parts(labels, None, w, dev) == (w * K + want, K, want)
+    zeros = np.zeros((1, kh))
+    assert objective.fitness_parts(np.ones(1, dtype=np.int64), None, 0.01, zeros) == (0.01, 1, 0.0)
+
+
 def test_metrics_matches_pure_oracle(rng):
     for _ in range(60):
         n = int(rng.integers(1, 12))

@@ -186,6 +186,40 @@ def test_operators_match_their_frozen_versions(n, hours, seed, box, split, prob)
             parent = child
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 120), st.integers(0, 2**32 - 1), st.floats(1.0, 60.0),
+       st.sampled_from([0.0, 0.5, 1.0]))
+def test_memo_mutations_match_the_frozen_operator(n, seed, box, prob):
+    # As in run_ea, each parent is mutated through the memo it keeps, again
+    # each generation it survives, and an unchanged copy shares its parent's
+    # memo. A stale bincount or singleton list would change a child, a
+    # regrouping or a draw.
+    rng = np.random.default_rng(seed)
+    nbrs = model.within_tau(_blobs_and_loners(rng, n, box), 3.0)
+    values = _special_traffic(rng, n, 1)
+    rows = _lists(nbrs)
+    pop = [(model.renumber(solvers._initial_labels(rows, rng)), []) for _ in range(3)]
+    live, frozen = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    for _ in range(4):
+        offspring = []
+        for parent, memo in pop:
+            for _ in range(2):
+                new, groups = solvers._mutate_labels(parent, nbrs, rows, prob, live, memo)
+                want, changed = _oracles._mutate_labels(parent, nbrs, prob, frozen)
+                assert _changed(parent, groups) == changed
+                assert live.bit_generator.state == frozen.bit_generator.state
+                child = _build(parent, values, new, groups)[0] if groups else parent
+                assert child.dtype == want.dtype and child.tolist() == want.tolist()
+                offspring.append((child, []) if groups else (parent, memo))
+            counts = np.bincount(parent)
+            assert memo[0].tolist() == counts.tolist()
+            assert all(m.tolist() == np.flatnonzero(counts[parent] == 1).tolist()
+                       for m in memo[1:])
+            assert len(memo) <= (1 if prob == 0.0 else 2)
+        merged = pop + offspring  # keep some entries twice, as truncation can
+        pop = [merged[i] for i in rng.integers(len(merged), size=3)]
+
+
 def test_pick_is_choice_without_replacement_draw_for_draw():
     # Lists (with a repeated item) and ranges, every size; each pick must
     # return choice's items and leave the generator where choice leaves it.
@@ -377,6 +411,36 @@ def test_audit_sees_every_scored_label_array(rng, monkeypatch, solver):
         solvers.run_ea(ps, traffic, cfg, problem, audit=seen.append)
     # Every fitness call but the driver's uncharged per-day re-score is audited.
     assert len(seen) == len(calls) - len(traffic)
+
+
+def test_unchanged_offspring_is_its_parent(monkeypatch):
+    # Points 3 and 4 have no neighbour within tau, so a mutation that draws
+    # either is the unchanged copy: run_ea must score its parent's own labels
+    # and rows, building nothing for it (no _regroup, no cluster_sums).
+    ps = _points([0.0, 0.5, 1.0, 10.0, 20.0])
+    traffic = _traffic_days(np.random.default_rng(0), 5, 2)
+    problem = model.ProblemConfig(w=0.01, tau=1.5, H=6)
+    cfg = solvers.EaConfig(popsize=4, maxgen=12, prob=0.5, variant="copy", seed=3)
+    parents, built, scored = [], [], []
+    mutate, regroup, sums = solvers._mutate_labels, solvers._regroup, solvers.cluster_sums
+
+    def recording_mutate(labels, *args):
+        new, groups = mutate(labels, *args)
+        parents.append(None if groups else labels)
+        return new, groups
+
+    monkeypatch.setattr(solvers, "_mutate_labels", recording_mutate)
+    monkeypatch.setattr(solvers, "_regroup", lambda *a: built.append(a) or regroup(*a))
+    monkeypatch.setattr(solvers, "cluster_sums", lambda *a: built.append(a) or sums(*a))
+    solvers.run_ea(ps, traffic, cfg, problem, audit=scored.append)
+    per_day = 4 * 13  # the population, then 12 generations of 4 offspring
+    offspring = [lab for d in range(2) for lab in scored[d * per_day + 4:(d + 1) * per_day]]
+    assert len(scored) == 2 * per_day and len(offspring) == len(parents)
+    unchanged = [i for i, lab in enumerate(parents) if lab is not None]
+    assert 0 < len(unchanged) < len(parents)
+    assert all(offspring[i] is parents[i] for i in unchanged)
+    # One build per changed offspring, beside each day's full sums of its population.
+    assert len(built) == len(parents) - len(unchanged) + 2 * 4
 
 
 def test_run_greedy_invariants(rng):
