@@ -1,8 +1,7 @@
 """bbuclust: constrained day-by-day clustering of radio heads onto baseband units."""
 
 from .model import (Clustering, PointSet, ProblemConfig, TrafficDay,
-                    build_distance_matrix, haversine_meters, is_feasible,
-                    within_tau)
+                    build_distance_matrix, is_feasible, within_tau)
 from .objective import (FitnessValue, LegacyScore, MetricsReport, legacy_score, metrics,
                         micro_reference_rows, peak_hours, render_micro_reference)
 from .forecast import (ForecastError, forecast_error, make_forecaster,
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Clustering", "PointSet", "ProblemConfig", "TrafficDay",
-    "build_distance_matrix", "haversine_meters", "is_feasible", "within_tau",
+    "build_distance_matrix", "is_feasible", "within_tau",
     "FitnessValue", "LegacyScore", "MetricsReport", "legacy_score", "metrics",
     "micro_reference_rows", "peak_hours", "render_micro_reference",
     "ForecastError", "forecast_error", "make_forecaster", "oracle_predict",

@@ -13,18 +13,20 @@ def _common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="dataset directory (manifest + CSVs)")
     p.add_argument("--algorithms", default="splitea,greedy",
                    help="comma-separated subset of: " + ",".join(harness.ALGORITHM_PRESETS))
-    p.add_argument("--runs", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0, help="base seed; per-run seeds derive from it")
-    p.add_argument("--w", type=float, default=0.01)
-    p.add_argument("--tau", type=float, default=None,
+    exp, alg = harness.ExperimentSpec, harness.AlgorithmSpec
+    p.add_argument("--runs", type=int, default=exp.runs)
+    p.add_argument("--seed", type=int, default=exp.base_seed,
+                   help="base seed; per-run seeds derive from it")
+    p.add_argument("--w", type=float, default=exp.w)
+    p.add_argument("--tau", type=float, default=exp.tau,
                    help="absolute distance cap (default: 3x the mean nearest-neighbour distance)")
-    p.add_argument("--forecaster", choices=forecast.FORECASTERS, default="oracle")
-    p.add_argument("--alpha", type=float, default=0.05, choices=stats.Q_ALPHA)
-    p.add_argument("--popsize", type=int, default=10)
-    p.add_argument("--maxgen", type=int, default=150)
-    p.add_argument("--prob", type=float, default=0.5)
-    p.add_argument("--budget", type=int, default=1500)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--forecaster", choices=forecast.FORECASTERS, default=exp.forecaster)
+    p.add_argument("--alpha", type=float, default=exp.alpha, choices=stats.Q_ALPHA)
+    p.add_argument("--popsize", type=int, default=alg.popsize)
+    p.add_argument("--maxgen", type=int, default=alg.maxgen)
+    p.add_argument("--prob", type=float, default=alg.prob)
+    p.add_argument("--budget", type=int, default=alg.budget)
+    p.add_argument("--workers", type=int, default=exp.workers)
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-run a comparison across one parameter")
     _common_run_flags(p)
-    p.add_argument("--param", required=True, choices=["w", "tau", "prob", "budget"])
+    p.add_argument("--param", required=True, choices=list(harness.SWEEPS))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(fn=_cmd_sweep)
 

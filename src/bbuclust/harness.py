@@ -35,23 +35,26 @@ class AlgorithmSpec:
 
     name: str
     kind: str  # "ea" or "greedy"
-    popsize: int = 10
-    maxgen: int = 150
-    prob: float = 0.5
-    variant: str = "split"
+    popsize: int = EaConfig.popsize
+    maxgen: int = EaConfig.maxgen
+    prob: float = EaConfig.prob
+    variant: str = EaConfig.variant
     budget: int = 1500
 
     def __post_init__(self) -> None:
         if self.kind not in ("ea", "greedy"):
             raise ValueError(f"kind must be 'ea' or 'greedy', got {self.kind!r}")
+        if self.kind == "ea":  # EaConfig's checks
+            EaConfig(self.popsize, self.maxgen, self.prob, self.variant)
 
     def budget_per_day(self) -> int:
         """Evaluations charged per day (EA charges popsize * maxgen offspring)."""
         return self.popsize * self.maxgen if self.kind == "ea" else self.budget
 
 
-def standard_algorithms(names: Sequence[str], popsize: int = 10, maxgen: int = 150,
-                        prob: float = 0.5, budget: int = 1500) -> list[AlgorithmSpec]:
+def standard_algorithms(names: Sequence[str], popsize: int = AlgorithmSpec.popsize,
+                        maxgen: int = AlgorithmSpec.maxgen, prob: float = AlgorithmSpec.prob,
+                        budget: int = AlgorithmSpec.budget) -> list[AlgorithmSpec]:
     """Build the preset algorithms: splitea, randea, copyea, greedy."""
     out = []
     for name in names:
@@ -97,11 +100,14 @@ class ExperimentSpec:
     algorithms: tuple[AlgorithmSpec, ...]
     runs: int = 30
     base_seed: int = 0
-    w: float = 0.01
+    w: float = ProblemConfig.w
     tau: float | None = None  # None: 3x the mean nearest-neighbour distance
     forecaster: str = "oracle"
     alpha: float = 0.05
     workers: int = 1
+
+    def __post_init__(self) -> None:  # ProblemConfig's checks of w and an absolute tau
+        ProblemConfig(self.w, ProblemConfig.tau if self.tau is None else self.tau)
 
 
 @dataclass(frozen=True)
@@ -258,10 +264,7 @@ def aggregate(records: Sequence[RunRecord], alpha: float = 0.05) -> ResultTable:
     """
     if not records:
         raise ValueError("no records to aggregate")
-    names: list[str] = []
-    for r in records:
-        if r.algorithm not in names:
-            names.append(r.algorithm)
+    names = list(dict.fromkeys(r.algorithm for r in records))
     by_alg = {n: sorted((r for r in records if r.algorithm == n), key=lambda r: r.run)
               for n in names}
     run_sets = {n: tuple(r.run for r in rs) for n, rs in by_alg.items()}
@@ -326,37 +329,35 @@ def export_curves(records: Sequence[RunRecord], path: str | Path) -> None:
                     wr.writerow([r.algorithm, r.run, d.day, g, repr(float(v))])
 
 
+def _budget(spec: ExperimentSpec, value: float) -> ExperimentSpec:
+    """Give every algorithm ``value`` evaluations a day; EAs keep popsize, rescale maxgen."""
+    if not float(value).is_integer():
+        raise ValueError(f"budget must be a whole number of evaluations, got {value}")
+    b = int(value)
+    if bad := [a.popsize for a in spec.algorithms if a.kind == "ea" and b % a.popsize]:
+        raise ValueError(f"budget {b} not divisible by popsize {bad[0]}")
+    return replace(spec, algorithms=tuple(
+        replace(a, maxgen=b // a.popsize) if a.kind == "ea" else replace(a, budget=b)
+        for a in spec.algorithms))
+
+
+# The sweepable parameters, each with its rewrite of a spec to one value.
+SWEEPS = {
+    "w": lambda spec, v: replace(spec, w=float(v)),
+    "tau": lambda spec, v: replace(spec, tau=float(v)),
+    "prob": lambda spec, v: replace(spec, algorithms=tuple(
+        replace(a, prob=float(v)) if a.kind == "ea" else a for a in spec.algorithms)),
+    "budget": _budget,
+}
+
+
 def sweep(spec: ExperimentSpec, param: str, values: Sequence[float],
           ) -> list[tuple[float, ExperimentResult]]:
-    """Re-run the experiment across values of one parameter.
+    """Re-run the experiment across values of one parameter, a key of ``SWEEPS``.
 
-    ``param`` is one of "w", "tau", "prob", "budget". A budget sweep keeps
-    popsize and rescales EA generations so per-day budgets stay matched.
+    Every value's spec is built, and so checked, before any experiment runs.
     """
-    if param == "budget" and (bad := [v for v in values if not float(v).is_integer()]):
-        raise ValueError(f"budget must be a whole number of evaluations, got {bad[0]}")
-    out = []
-    for v in values:
-        if param == "w":
-            s = replace(spec, w=float(v))
-        elif param == "tau":
-            s = replace(spec, tau=float(v))
-        elif param == "prob":
-            algs = tuple(replace(a, prob=float(v)) if a.kind == "ea" else a
-                         for a in spec.algorithms)
-            s = replace(spec, algorithms=algs)
-        elif param == "budget":
-            b = int(v)
-            algs = []
-            for a in spec.algorithms:
-                if a.kind == "ea":
-                    if b % a.popsize:
-                        raise ValueError(f"budget {b} not divisible by popsize {a.popsize}")
-                    algs.append(replace(a, maxgen=b // a.popsize))
-                else:
-                    algs.append(replace(a, budget=b))
-            s = replace(spec, algorithms=tuple(algs))
-        else:
-            raise ValueError(f"unknown sweep parameter {param!r}")
-        out.append((float(v), run_experiment(s)))
-    return out
+    if param not in SWEEPS:
+        raise ValueError(f"unknown sweep parameter {param!r}; expected one of {tuple(SWEEPS)}")
+    specs = [(float(v), SWEEPS[param](spec, v)) for v in values]
+    return [(v, run_experiment(s)) for v, s in specs]

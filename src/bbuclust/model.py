@@ -189,12 +189,6 @@ def build_distance_matrix(positions, metric: str = "euclidean") -> PointSet:
     return PointSet(positions=pos, metric=metric)
 
 
-def haversine_meters(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Great-circle distance in metres between two (lon, lat) degree pairs."""
-    pos = np.array([p, q], dtype=float)
-    return float(_pair_dist(pos, np.array([0]), np.array([1]), "haversine_meters")[0])
-
-
 def _nearest_of(pos: np.ndarray, metric: str, rows: np.ndarray) -> np.ndarray:
     """The nearest distance from each of ``rows`` to all other points, 2**16 at a time."""
     nn = np.empty(rows.size)
@@ -238,15 +232,13 @@ def within_tau(point_set: PointSet, tau: float) -> list[np.ndarray]:
 
 
 def is_feasible(clustering: Clustering, point_set: PointSet, tau: float) -> bool:
-    """True iff every within-cluster pairwise distance is <= tau."""
+    """True iff every within-cluster pair is among the pairs at most tau apart."""
     labels = clustering.labels
-    n = labels.size
-    if n != point_set.n_points:
+    if labels.size != point_set.n_points:
         raise ValueError("clustering and point set sizes differ")
-    nbrs = within_tau(point_set, tau)
-    row = np.repeat(np.arange(n), [r.size for r in nbrs])
-    same = np.bincount(row[labels[row] == labels[np.concatenate(nbrs)]], minlength=n)
-    return bool((same == np.bincount(labels)[labels]).all())
+    i, j, _ = _pairs_within(point_set, tau)
+    sizes = np.bincount(labels)
+    return int(np.count_nonzero(labels[i] == labels[j])) == int((sizes * (sizes - 1) // 2).sum())
 
 
 def renumber(labels: np.ndarray) -> np.ndarray:

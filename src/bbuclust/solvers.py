@@ -301,7 +301,6 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                     np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1, [])
                    for lab in labels]
             fits = np.array([score(lab, values, dev) for lab, dev, *_ in pop])
-            evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
             fits = fits[order]
@@ -320,7 +319,6 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                         new = renumber(new)
                         offspring.append((new, np.abs(cluster_sums(new, values) - 1.0), True, []))
                 off_fits = np.array([score(lab, values, dev) for lab, dev, *_ in offspring])
-                evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])
                 keep = np.argsort(merged_fits, kind="stable")[: config.popsize]
@@ -329,7 +327,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 del merged, offspring  # the discarded offspring's rows go now
                 trace.append(float(fits[0]))
             labels = [lab for lab, *_ in pop]
-            yield labels[0], trace, evals
+            yield labels[0], trace, config.popsize * (config.maxgen + 1)
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)
 

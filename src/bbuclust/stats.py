@@ -41,19 +41,11 @@ def rank_rows(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise ValueError("values must be 2-D (blocks x algorithms)")
-    n, k = v.shape
-    ranks = np.empty((n, k))
-    for row in range(n):
-        order = np.argsort(v[row], kind="stable")
-        sorted_vals = v[row][order]
-        i = 0
-        while i < k:
-            j = i
-            while j + 1 < k and sorted_vals[j + 1] == sorted_vals[i]:
-                j += 1
-            ranks[row, order[i:j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
-    return ranks
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values contain non-finite entries")
+    below = (v[:, None, :] < v[:, :, None]).sum(axis=2)
+    tied = (v[:, None, :] == v[:, :, None]).sum(axis=2)
+    return below + (tied + 1) / 2
 
 
 def _gamma_p_series(a: float, x: float, eps: float = 1e-14, itmax: int = 500) -> float:
@@ -121,24 +113,19 @@ def friedman_nemenyi(values: np.ndarray, alpha: float = 0.05,
     k(k+1)^2/4) on k-1 degrees of freedom; the critical difference is
     CD = q_alpha * sqrt(k(k+1)/(6n)).
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("values must be 2-D (blocks x algorithms)")
-    n, k = v.shape
+    ranks = rank_rows(values)
+    n, k = ranks.shape
     if n < 2:
         raise ValueError(f"need at least 2 blocks, got {n}")
     if alpha not in Q_ALPHA:
         raise ValueError(f"alpha must be one of {sorted(Q_ALPHA)}, got {alpha}")
     if k not in Q_ALPHA[alpha]:
         raise ValueError(f"tabulated Nemenyi constants cover k = 2..10, got k = {k}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values contain non-finite entries")
     if names is None:
         names = tuple(f"alg{j}" for j in range(k))
     if len(names) != k:
         raise ValueError(f"got {len(names)} names for {k} columns")
 
-    ranks = rank_rows(v)
     mean_ranks = ranks.mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * (float((mean_ranks ** 2).sum()) - k * (k + 1) ** 2 / 4.0)
     stat = max(stat, 0.0)

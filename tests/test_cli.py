@@ -1,10 +1,11 @@
+import inspect
 import json
 import shutil
 
 import pytest
 
 import bbuclust
-from bbuclust import cli
+from bbuclust import cli, harness, solvers
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,21 @@ def test_run_and_sweep_reject_bad_counts(ds_dir, tmp_path, capsys, argv, named):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
     assert captured.out == "" and not out.exists()
+
+
+def test_run_flag_defaults_are_the_spec_defaults():
+    args = cli.build_parser().parse_args(["run", "--dataset", "x"])
+    exp, alg, ea = harness.ExperimentSpec, harness.AlgorithmSpec, solvers.EaConfig
+    assert args.seed == exp.base_seed
+    for name in ("runs", "w", "tau", "forecaster", "alpha", "workers"):
+        assert getattr(args, name) == getattr(exp, name), name
+    for name in ("popsize", "maxgen", "prob", "budget"):
+        assert getattr(args, name) == getattr(alg, name), name
+    for name in ("popsize", "maxgen", "prob"):
+        assert getattr(args, name) == getattr(ea, name), name
+    params = inspect.signature(harness.standard_algorithms).parameters
+    for name in ("popsize", "maxgen", "prob", "budget"):
+        assert params[name].default == getattr(alg, name), name
 
 
 def test_table1_output(capsys):

@@ -215,6 +215,21 @@ def test_sweep_w_and_budget(small_ds):
         harness.sweep(spec, "popsize", [5])
 
 
+@pytest.mark.parametrize("param, values, match", [
+    ("budget", [12, 13], "divisible"),
+    ("w", [0.01, 2.0], "w must be"),
+    ("prob", [0.5, 1.5], "prob must be"),
+    ("tau", [6.0, -1.0], "tau must be positive"),
+    ("popsize", [], "sweep parameter"),
+], ids=["budget-13", "w-2", "prob-1.5", "tau-negative", "unknown-empty"])
+def test_sweep_checks_every_value_before_running(small_ds, monkeypatch, param, values, match):
+    calls, run = [], harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment", lambda s: calls.append(s) or run(s))
+    with pytest.raises(ValueError, match=match):
+        harness.sweep(_tiny_spec(small_ds), param, values)
+    assert calls == []
+
+
 def test_standard_algorithms_validation():
     algs = harness.standard_algorithms(("splitea", "randea", "copyea", "greedy"))
     assert [a.kind for a in algs] == ["ea", "ea", "ea", "greedy"]

@@ -10,8 +10,12 @@ from _oracles import dense_distance, feasible, pure_renumber
 
 def test_haversine_frozen_values():
     # Independently computed great-circle references (R = 6371008.8 m).
-    d_lon = model.haversine_meters((9.19, 45.46), (9.20, 45.46))
-    d_lat = model.haversine_meters((9.19, 45.46), (9.19, 45.47))
+    def dist(p, q):
+        ps = model.build_distance_matrix([p, q], "haversine_meters")
+        return float(model.nearest_distances(ps)[0])
+
+    d_lon = dist((9.19, 45.46), (9.20, 45.46))
+    d_lat = dist((9.19, 45.46), (9.19, 45.47))
     assert d_lon == pytest.approx(779.9301161647776, abs=1e-6)
     assert d_lat == pytest.approx(1111.9508023352598, abs=1e-6)
 
@@ -89,6 +93,20 @@ def test_is_feasible(line_points):
     assert not model.is_feasible(bad, line_points, tau=2.0)
     with pytest.raises(ValueError):
         model.is_feasible(model.Clustering(labels=[1, 2]), line_points, tau=2.0)
+
+
+@pytest.mark.parametrize("pos, labels, tau, expected", [
+    ([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [5.0, 2.0]], [1, 1, 1, 2], 1.0, True),
+    ([[0.0, 0.0], [3.0, 4.0]], [1, 1], 5.0, True),
+    ([[0.0, 0.0], [3.0, 4.0]], [1, 1], math.nextafter(5.0, 0.0), False),
+    ([[0.0, 0.0], [3.0, 4.0]], [1, 2], math.nextafter(5.0, 0.0), True),
+    ([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]], [1, 1, 1], 5.0, False),
+    ([[7.0, -3.0]], [1], 1e-9, True),
+], ids=["co-located", "exactly-tau", "just-over-tau", "apart-in-two", "chain", "one-point"])
+def test_is_feasible_edges(pos, labels, tau, expected):
+    assert feasible(labels, dense_distance(pos).tolist(), tau) == expected
+    ps = model.build_distance_matrix(pos)
+    assert model.is_feasible(model.Clustering(labels), ps, tau) == expected
 
 
 def test_renumber():

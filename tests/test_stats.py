@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
 from bbuclust import stats
 
@@ -13,6 +14,22 @@ def test_rank_rows_hand_examples():
     assert stats.rank_rows(np.array([[5.0, 5.0, 5.0]])).tolist() == [[2.0, 2.0, 2.0]]
     with pytest.raises(ValueError):
         stats.rank_rows(np.array([1.0, 2.0]))
+
+
+@given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 6))
+def test_rank_rows_equals_scipy_rankdata(n, k, seed, levels):
+    # Few distinct integer values, so most rows hold ties.
+    v = np.random.default_rng(seed).integers(0, levels, size=(n, k)).astype(float)
+    ranks = stats.rank_rows(v)
+    assert ranks.shape == (n, k)
+    assert (ranks == scipy.stats.rankdata(v, axis=1)).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_rows_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        stats.rank_rows(np.array([[1.0, bad, 2.0]]))
 
 
 def test_chi2_sf_against_scipy():
