@@ -7,6 +7,7 @@ public surface wraps them in :class:`~bbuclust.model.Clustering`.
 """
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -34,6 +35,13 @@ DaySearch = Callable[[Sequence[np.ndarray], list[np.ndarray], Scorer],
                      Iterator[tuple[np.ndarray, list[float], int]]]
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer (numpy's included) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EaConfig:
     """Evolutionary solver parameters."""
@@ -45,10 +53,8 @@ class EaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.popsize < 1:
-            raise ValueError(f"popsize must be >= 1, got {self.popsize}")
-        if self.maxgen < 0:
-            raise ValueError(f"maxgen must be >= 0, got {self.maxgen}")
+        for name, least in (("popsize", 1), ("maxgen", 0), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not (0.0 <= self.prob <= 1.0):
             raise ValueError(f"prob must be in [0, 1], got {self.prob}")
         if self.variant not in VARIANTS:
@@ -64,6 +70,75 @@ class DayResult:
     best_fitness: FitnessValue
     trace: list[float]
     evals_used: int
+
+
+class _Draws:
+    """``rng``'s ``integers``, ``random`` and ``choice(n, size, replace=False)``: numpy's values
+    (Lemire's method on 32-bit halves; Floyd's sampling, then a shuffle), replayed from PCG64
+    words fetched in blocks. ``rng`` draws the rest (ranges over 2**32, the tail shuffle)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self._words = rng, []  # the block's unused words, next last
+        self._pcg = isinstance(rng.bit_generator, np.random.PCG64)
+        if self._pcg:  # its kept half-word, stale if not flagged
+            state = rng.bit_generator.state
+            self._has, self._hi = state["has_uint32"], state["uinteger"]
+        else:  # MT19937's random() takes two 32-bit words; SFC64 cannot advance
+            self.integers, self.random, self.choice = rng.integers, rng.random, rng.choice
+
+    def sync(self) -> None:
+        """Leave ``rng`` in the state the draws replayed so far would have left it in."""
+        if self._pcg:
+            bg = self.rng.bit_generator
+            bg.advance((1 << 128) - len(self._words))  # back over the unused words
+            bg.state = {**bg.state, "has_uint32": self._has, "uinteger": self._hi}
+            self._words = []
+
+    def _numpy(self, name: str, *args):
+        self.sync()
+        out = getattr(self.rng, name)(*args)
+        self.__init__(self.rng)  # replay on from the state numpy's draw left
+        return out
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self.rng.bit_generator.random_raw(512)[::-1].tolist()
+        return self._words.pop()
+
+    def _below(self, b: int) -> int:
+        """A draw in [0, b), 1 <= b <= 2**32: Lemire's method on the next 32 bits."""
+        while b > 1:
+            if self._has:
+                self._has, m = 0, self._hi * b
+            else:
+                w = self._word()
+                self._has, self._hi, m = 1, w >> 32, (w & 0xFFFFFFFF) * b
+            if (m & 0xFFFFFFFF) >= (1 << 32) % b:
+                return m >> 32
+        return 0
+
+    def integers(self, low, high=None):
+        low, high = (0, low) if high is None else (low, high)
+        if type(low) is int and type(high) is int and low < high <= low + (1 << 32):
+            return low + self._below(high - low)
+        return self._numpy("integers", low, high)
+
+    def random(self) -> float:
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def choice(self, n, size, replace=False):
+        if (replace or type(n) is not int or type(size) is not int or not 0 <= size <= n
+                or n > 1 << 32 or n > 10000 and size > n // 50):
+            return self._numpy("choice", n, size, replace)
+        out = {}  # Floyd's sampling, in draw order
+        for j in range(n - size, n):
+            v = self._below(j + 1)
+            out[j if v in out else v] = None
+        out = list(out)
+        for i in range(size - 1, 0, -1):  # then a Fisher-Yates shuffle
+            k = self._below(i + 1)
+            out[i], out[k] = out[k], out[i]
+        return np.array(out, dtype=np.int64)
 
 
 def _pick(rng: np.random.Generator, items: Sequence, num: int) -> list:
@@ -282,7 +357,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
-        rng = np.random.default_rng(seeds[0])
+        rng = _Draws(np.random.default_rng(seeds[0]))
         rows = [row.tolist() for row in nbrs]
         labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
 
@@ -294,7 +369,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 elif config.variant == "rand":
                     labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
-            rng = np.random.default_rng(seeds[d + 1])
+            rng = _Draws(np.random.default_rng(seeds[d + 1]))
             # (labels, rows summed in full once a day, labels in first-appearance
             # order, _mutate_labels' memo)
             pop = [(lab, np.abs(cluster_sums(lab, values) - 1.0),
@@ -351,13 +426,12 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     Each candidate is built from the committed labels and rows
     ``|cluster_sums - 1|`` (``_regroup``), two rows summed again.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    budget = _integer("budget", budget, 1)
+    checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
     n = point_set.n_points
 
     def search(nbrs, values_by_day, score):
+        draws = _Draws(rng)
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
             dev = np.abs(cluster_sums(labels, values) - 1.0)
@@ -366,7 +440,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             checkpoint = checkpoint_every
             evals = 0
             while evals < budget:
-                x = int(rng.integers(n))
+                x = int(draws.integers(n))
                 targets, inside = _joinable(labels, nbrs[x], int(labels[x]), np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
@@ -392,6 +466,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                 if checkpoint == evals:
                     trace.append(cur_f)
                     checkpoint += checkpoint_every
+            draws.sync()  # the day loop stops without resuming this after its last day
             yield labels, trace, evals
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)

@@ -34,6 +34,21 @@ DIGESTS = {
     ("milan-hav", "greedy"): "24fd5fc66c9cfad0fb40534f73f63e1385e60da6f3d503c70481c84c7bd10172",
 }
 
+# run_greedy on the ("1a", "greedy") instance above, budget 300: the state it
+# leaves the caller's default_rng(21) in, and through other bit generators
+# (seed 21), digests of its deployed labels and traces.
+GREEDY_RNG_STATE = {
+    "bit_generator": "PCG64",
+    "state": {"state": 14723703805512551721556389275007431083,
+              "inc": 309141390015141504862174807861076180645},
+    "has_uint32": 0,
+    "uinteger": 2773191265,
+}
+GREEDY_OTHER_DIGESTS = {
+    "MT19937": "92a7555bae0e682b4aabad13c907e148fa567e10a88f357c9d3fe9656a28df93",
+    "Philox": "8c589a2d158389524516b4f920aa3aaeb1dde6319724ce1b92b7fbd78c62a7a4",
+}
+
 
 def _milan_lonlat(xy):
     """The generator's 100 x 100 box as a 10 km x 10 km box of (lon, lat) near Milan."""
@@ -80,6 +95,27 @@ def _digest(kind, solver):
 @pytest.mark.parametrize("kind, solver", sorted(DIGESTS))
 def test_candidate_stream_digest(kind, solver):
     assert _digest(kind, solver) == DIGESTS[kind, solver]
+
+
+def _greedy_1a(rng):
+    ds, ps = _instance("1a")
+    problem = model.ProblemConfig(w=0.01, tau=harness.resolve_tau(ps), H=ds.manifest.hours)
+    return solvers.run_greedy(ps, ds.traffic, 300, problem, rng, checkpoint_every=10)
+
+
+def test_greedy_leaves_the_callers_generator_where_its_draws_end():
+    rng = np.random.default_rng(21)
+    _greedy_1a(rng)
+    assert rng.bit_generator.state == GREEDY_RNG_STATE
+
+
+@pytest.mark.parametrize("bit_generator", sorted(GREEDY_OTHER_DIGESTS))
+def test_greedy_through_other_bit_generators(bit_generator):
+    h = hashlib.sha256()
+    for r in _greedy_1a(np.random.Generator(getattr(np.random, bit_generator)(21))):
+        h.update(np.ascontiguousarray(r.best.labels, dtype="<i8").tobytes())
+        h.update(np.asarray(r.trace, dtype="<f8").tobytes())
+    assert h.hexdigest() == GREEDY_OTHER_DIGESTS[bit_generator]
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bbuclust import model, objective, solvers
 import _oracles
@@ -50,6 +50,12 @@ def test_ea_config_validation():
         solvers.EaConfig(variant="elitist")
     with pytest.raises(ValueError):
         solvers.EaConfig(maxgen=-1)
+    # Counts and the seed are integers, numpy's included; an error names the field.
+    for field, bad in (("popsize", 2.5), ("maxgen", 1.5), ("seed", -1), ("seed", 0.5)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            solvers.EaConfig(**{field: bad})
+    cfg = solvers.EaConfig(popsize=np.int64(4), maxgen=np.uint8(3), seed=np.int32(2))
+    assert (cfg.popsize, cfg.maxgen, cfg.seed) == (4, 3, 2) and type(cfg.seed) is int
 
 
 def test_initial_pop_feasible_and_complete(rng):
@@ -239,6 +245,51 @@ def test_pick_is_choice_without_replacement_draw_for_draw():
                 got = solvers._pick(live, range(n), num)
                 assert got == frozen.choice(n, size=num, replace=False).tolist()
                 assert live.bit_generator.state == frozen.bit_generator.state
+
+
+# Ranges of a bounded draw: 1 takes no bits; the 32-bit path runs up to 2**32.
+_SPANS = st.sampled_from([1, 2, 2**31 + 5, 2**32 - 1, 2**32]) | st.integers(1, 60)
+# (method, arguments) as the solvers call them; choice at n = 20,000 takes Floyd's
+# sampling at size 100 and numpy's tail shuffle at 401.
+_CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.tuples(_SPANS)),
+    st.builds(lambda low, span: ("integers", (low, low + span)), st.integers(-5, 5), _SPANS),
+    st.just(("random", ())),
+    st.integers(0, 60).flatmap(
+        lambda n: st.builds(lambda size: ("choice", (n, size, False)), st.integers(0, n))),
+    st.builds(lambda size: ("choice", (20000, size, False)), st.sampled_from([100, 401])),
+)
+
+
+def _lemire_edge(span, leftover):
+    """(has_uint32, uinteger, calls): a kept half-word whose draw in [0, span) has
+    low product bits ``leftover``, next to the rejection threshold 2**32 % span."""
+    return 1, leftover * pow(span, -1, 2**32) % 2**32, [("integers", (span,))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 1), st.integers(0, 2**32 - 1),
+       st.lists(_CALLS, max_size=25))
+@example(0, *_lemire_edge(3, 0))  # rejected: below the threshold 1
+@example(0, *_lemire_edge(3, 1))  # accepted: at it
+@example(0, *_lemire_edge(2**31 + 5, 2**31 - 6))
+@example(0, *_lemire_edge(2**31 + 5, 2**31 - 5))
+@example(0, *_lemire_edge(2**32 - 1, 0))
+@example(0, *_lemire_edge(2**32 - 1, 1))
+def test_draws_replay_numpy_draw_for_draw(seed, has, half, calls):
+    # From any kept half-word (flagged or stale), each replayed draw is numpy's;
+    # after sync the generator is in numpy's state and draws on as numpy's.
+    live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
+    for g in (live, frozen):
+        g.bit_generator.state = {**g.bit_generator.state, "has_uint32": has, "uinteger": half}
+    draws = solvers._Draws(live)
+    for name, args in calls:
+        got, want = getattr(draws, name)(*args), getattr(frozen, name)(*args)
+        assert np.asarray(got).tolist() == np.asarray(want).tolist()
+    draws.sync()
+    assert live.bit_generator.state == frozen.bit_generator.state
+    assert live.integers(5, size=3).tolist() == frozen.integers(5, size=3).tolist()
+    assert live.random() == frozen.random()
 
 
 def _pulls_match_frozen(coords, tau, parent):
@@ -684,6 +735,18 @@ def test_run_greedy_errors(rng):
     with pytest.raises(ValueError):
         solvers.run_greedy(ps, traffic, 10, problem, np.random.default_rng(0),
                            checkpoint_every=0)
+    with pytest.raises(ValueError, match="^budget must be an integer"):
+        solvers.run_greedy(ps, traffic, 3.5, problem, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^checkpoint_every must be an integer"):
+        solvers.run_greedy(ps, traffic, 10, problem, np.random.default_rng(0),
+                           checkpoint_every=2.5)
+    # numpy integers run as the same Python ints.
+    got = solvers.run_greedy(ps, traffic, np.int64(10), problem, np.random.default_rng(0),
+                             checkpoint_every=np.int32(5))[0]
+    want = solvers.run_greedy(ps, traffic, 10, problem, np.random.default_rng(0),
+                              checkpoint_every=5)[0]
+    assert got.best.labels.tolist() == want.best.labels.tolist()
+    assert (got.trace, got.evals_used) == (want.trace, want.evals_used)
 
 
 def test_solvers_reach_brute_force_optimum(rng):
