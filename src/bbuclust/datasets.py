@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PointSet, TrafficDay, build_distance_matrix
+from .model import PointSet, TrafficDay, _integer, build_distance_matrix
 
 # Each kind's size arguments and their defaults.
 SIZES = {
@@ -236,10 +236,9 @@ def make_dataset(kind: str, seed: int, n_days: int = 7, name: str | None = None,
     if extra:
         raise ValueError(f"kind {kind!r} takes the size arguments {list(SIZES[kind])}, "
                          f"not {extra}")
-    if n_days < 1 or hours < 1:
-        raise ValueError(f"need at least one day and one hour, got {n_days} days "
-                         f"and {hours} hours")
-    params = {k: type(d)(sizes.get(k, d)) for k, d in SIZES[kind].items()}
+    n_days, hours = _integer("n_days", n_days, 1), _integer("hours", hours, 1)
+    params = {k: _integer(k, sizes.get(k, d), 1) if type(d) is int else float(sizes.get(k, d))
+              for k, d in SIZES[kind].items()}
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if "n_points" in params:
         positions = gen_locations_random(params["n_points"], params["box"], rng)

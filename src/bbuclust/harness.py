@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .forecast import make_forecaster
-from .model import PointSet, ProblemConfig, TrafficDay, nearest_distances
+from .model import PointSet, ProblemConfig, TrafficDay, _integer, nearest_distances
 from .objective import MetricsReport, metrics
 from .solvers import EaConfig, run_ea, run_greedy
 from .stats import friedman_nemenyi
@@ -46,6 +46,9 @@ class AlgorithmSpec:
             raise ValueError(f"kind must be 'ea' or 'greedy', got {self.kind!r}")
         if self.kind == "ea":  # EaConfig's checks
             EaConfig(self.popsize, self.maxgen, self.prob, self.variant)
+        else:  # run_greedy's checks; popsize is its checkpoint interval
+            for name in ("popsize", "budget"):
+                _integer(name, getattr(self, name), 1)
 
     def budget_per_day(self) -> int:
         """Evaluations charged per day (EA charges popsize * maxgen offspring)."""
@@ -108,6 +111,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:  # ProblemConfig's checks of w and an absolute tau
         ProblemConfig(self.w, ProblemConfig.tau if self.tau is None else self.tau)
+        for name in ("runs", "workers"):
+            _integer(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -221,10 +226,6 @@ def _run_single(args) -> RunRecord:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (algorithm, run) pair and aggregate a comparison table."""
     ds = spec.dataset
-    if spec.runs < 1:
-        raise ValueError(f"runs must be >= 1, got {spec.runs}")
-    if spec.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {spec.workers}")
     names = [a.name for a in spec.algorithms]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names: {names}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,13 @@ import numpy as np
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
 
 METRICS = ("euclidean", "haversine_meters")
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer (numpy's included) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,7 @@ class ProblemConfig:
             raise ValueError(f"w must be in (0, 1], got {self.w}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.H < 1:
-            raise ValueError(f"H must be >= 1, got {self.H}")
+        object.__setattr__(self, "H", _integer("H", self.H, 1))
 
 
 def _pair_dist(pos: np.ndarray, i, j, metric: str) -> np.ndarray:

@@ -7,14 +7,15 @@ public surface wraps them in :class:`~bbuclust.model.Clustering`.
 """
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Clustering, PointSet, ProblemConfig, TrafficDay, renumber, within_tau
+from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _integer, renumber,
+                    within_tau)
 from .objective import FitnessValue, cluster_sums, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
@@ -33,13 +34,6 @@ Scorer = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 # search trace and the evaluations charged.
 DaySearch = Callable[[Sequence[np.ndarray], list[np.ndarray], Scorer],
                      Iterator[tuple[np.ndarray, list[float], int]]]
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int, if it is an integer (numpy's included) of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,9 @@ class DayResult:
 
 class _Draws:
     """``rng``'s ``integers``, ``random`` and ``choice(n, size, replace=False)``: numpy's values
-    (Lemire's method on 32-bit halves; Floyd's sampling, then a shuffle), replayed from PCG64
-    words fetched in blocks. ``rng`` draws the rest (ranges over 2**32, the tail shuffle)."""
+    (Lemire's method on 32-bit halves; Floyd's sampling, then a shuffle, into a list), replayed
+    from PCG64 words fetched in blocks. ``rng`` draws the rest (ranges over 2**32, the tail
+    shuffle)."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng, self._words = rng, []  # the block's unused words, next last
@@ -138,7 +133,7 @@ class _Draws:
         for i in range(size - 1, 0, -1):  # then a Fisher-Yates shuffle
             k = self._below(i + 1)
             out[i], out[k] = out[k], out[i]
-        return np.array(out, dtype=np.int64)
+        return out
 
 
 def _pick(rng: np.random.Generator, items: Sequence, num: int) -> list:
@@ -146,7 +141,7 @@ def _pick(rng: np.random.Generator, items: Sequence, num: int) -> list:
     one item is one bounded draw, as Floyd's sampling takes one step and the shuffle none."""
     if num == 1:
         return [items[rng.integers(len(items))]]
-    return [items[i] for i in rng.choice(len(items), size=num, replace=False).tolist()]
+    return [items[i] for i in rng.choice(len(items), size=num, replace=False)]
 
 
 def _grow(labels: np.ndarray | list[int], rows: Sequence[list[int]], seed: int,
@@ -349,11 +344,11 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
 
-    Each individual carries its rows ``|cluster_sums - 1|``; an offspring's
-    are built from its parent's (``_regroup``), at most three summed again,
-    except a seed individual's, which is renumbered and summed in full. The
-    unchanged copy is its parent's own entry, and each entry keeps the
-    bookkeeping ``_mutate_labels`` works out for it.
+    Each individual is one entry, its f first, then its labels and rows
+    ``|cluster_sums - 1|``; an offspring's rows are built from its parent's
+    (``_regroup``), at most three summed again, except a seed individual's,
+    which is renumbered and summed in full. The unchanged copy shares its
+    parent's labels, rows and the bookkeeping ``_mutate_labels`` works out.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -370,38 +365,32 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                     labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = _Draws(np.random.default_rng(seeds[d + 1]))
-            # (labels, rows summed in full once a day, labels in first-appearance
+            # (f, labels, rows summed in full once a day, labels in first-appearance
             # order, _mutate_labels' memo)
-            pop = [(lab, np.abs(cluster_sums(lab, values) - 1.0),
-                    np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1, [])
-                   for lab in labels]
-            fits = np.array([score(lab, values, dev) for lab, dev, *_ in pop])
-            order = np.argsort(fits, kind="stable")
-            pop = [pop[i] for i in order]
-            fits = fits[order]
-            trace = [float(fits[0])]
+            pop = []
+            for lab in labels:
+                dev = np.abs(cluster_sums(lab, values) - 1.0)
+                pop.append((score(lab, values, dev), lab, dev,
+                            np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1, []))
+            pop.sort(key=itemgetter(0))
+            trace = [pop[0][0]]
 
             for _ in range(config.maxgen):
                 offspring = []
-                for parent in pop:
-                    lab, dev, canon, memo = parent
+                for _, lab, dev, canon, memo in pop:
                     new, groups = _mutate_labels(lab, nbrs, rows, config.prob, rng, memo)
-                    if not groups:  # the unchanged copy is its parent's entry
-                        offspring.append(parent)
-                    elif canon:
-                        offspring.append((*_regroup(lab, dev, values, new, groups), True, []))
+                    if not groups:  # the unchanged copy: its parent's entry, scored again
+                        offspring.append((score(lab, values, dev), lab, dev, canon, memo))
+                        continue
+                    if canon:
+                        new, dev = _regroup(lab, dev, values, new, groups)
                     else:  # a seed individual's child: renumbered and summed in full
                         new = renumber(new)
-                        offspring.append((new, np.abs(cluster_sums(new, values) - 1.0), True, []))
-                off_fits = np.array([score(lab, values, dev) for lab, dev, *_ in offspring])
-                merged = pop + offspring
-                merged_fits = np.concatenate([fits, off_fits])
-                keep = np.argsort(merged_fits, kind="stable")[: config.popsize]
-                pop = [merged[i] for i in keep]
-                fits = merged_fits[keep]
-                del merged, offspring  # the discarded offspring's rows go now
-                trace.append(float(fits[0]))
-            labels = [lab for lab, *_ in pop]
+                        dev = np.abs(cluster_sums(new, values) - 1.0)
+                    offspring.append((score(new, values, dev), new, dev, True, []))
+                pop = sorted(pop + offspring, key=itemgetter(0))[:config.popsize]
+                trace.append(pop[0][0])
+            labels = [lab for _, lab, *_ in pop]
             yield labels[0], trace, config.popsize * (config.maxgen + 1)
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)
@@ -437,35 +426,31 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             dev = np.abs(cluster_sums(labels, values) - 1.0)
             cur_f = score(labels, values, dev)
             trace = [cur_f]
-            checkpoint = checkpoint_every
             evals = 0
             while evals < budget:
                 x = int(draws.integers(n))
                 targets, inside = _joinable(labels, nbrs[x], int(labels[x]), np.bincount(labels))
 
-                # The first candidate is "stay"; strict < keeps it on ties.
+                # The first candidate is "stay"; strict < keeps it on ties. A
+                # round that would pass the budget is cut short.
                 best_f = score(labels, values, dev)
                 best_labels, best_dev = labels, dev
-                evals += 1
+                targets = targets[:budget - evals - 1]
+                evals += 1 + len(targets)
                 for t_label in targets:
-                    if evals >= budget:
-                        break
                     cand, cand_dev = _regroup(labels, dev, values,
                                               *_join(labels, x, t_label, inside))
                     f = score(cand, values, cand_dev)
-                    evals += 1
                     if f < best_f:
                         best_f, best_labels, best_dev = f, cand, cand_dev
 
-                # Checkpoints passed mid-round still see the previous commit.
-                while checkpoint < evals:
-                    trace.append(cur_f)
-                    checkpoint += checkpoint_every
+                # Checkpoints passed mid-round still see the previous commit; so
+                # len(trace) == 1 + evals // checkpoint_every after each round.
+                trace += [cur_f] * ((evals - 1) // checkpoint_every + 1 - len(trace))
                 if best_f < cur_f:
                     labels, dev, cur_f = best_labels, best_dev, best_f
-                if checkpoint == evals:
+                if evals % checkpoint_every == 0:
                     trace.append(cur_f)
-                    checkpoint += checkpoint_every
             draws.sync()  # the day loop stops without resuming this after its last day
             yield labels, trace, evals
 

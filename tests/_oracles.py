@@ -7,7 +7,9 @@ replacements must reproduce exactly: ``dense_distance``, the former dense
 N x N distance matrix, ``reference_read_csvs``, the former row-by-row CSV
 reader, ``reference_save_dataset``, the former row-by-row CSV writer,
 ``reference_run_ea``, the former EA loop that scores every individual with
-the full fitness kernel, ``reference_cluster_utility``, the former per-member
+the full fitness kernel, ``reference_run_greedy``, the former greedy loop
+with its checkpoint counter and per-candidate budget check,
+``reference_cluster_utility``, the former per-member
 cluster utility the micro reference's 1 - U must equal, and the candidate
 operators ``_initial_labels``, ``_grow``, ``_joinable``, ``_move``,
 ``_mutate_labels`` and ``_split_labels`` as they were before they were
@@ -269,6 +271,53 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
                 fits = merged_fits[keep]
                 trace.append(float(fits[0]))
             yield pop[0], trace, evals
+
+    return solvers._solve_days(point_set, traffic_by_day, problem, search, None)
+
+
+def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkpoint_every):
+    """The greedy loop ``solvers.run_greedy`` must reproduce, kept verbatim except
+    that it draws from ``rng`` itself, the draws ``solvers._Draws`` replays.
+    """
+    n = point_set.n_points
+
+    def search(nbrs, values_by_day, score):
+        for values in values_by_day:
+            labels = np.arange(1, n + 1, dtype=np.int64)
+            dev = _rows(labels, values)
+            cur_f = score(labels, values, dev)
+            trace = [cur_f]
+            checkpoint = checkpoint_every
+            evals = 0
+            while evals < budget:
+                x = int(rng.integers(n))
+                targets, inside = solvers._joinable(labels, nbrs[x], int(labels[x]),
+                                                    np.bincount(labels))
+
+                # The first candidate is "stay"; strict < keeps it on ties.
+                best_f = score(labels, values, dev)
+                best_labels, best_dev = labels, dev
+                evals += 1
+                for t_label in targets:
+                    if evals >= budget:
+                        break
+                    cand, cand_dev = solvers._regroup(labels, dev, values,
+                                                      *solvers._join(labels, x, t_label, inside))
+                    f = score(cand, values, cand_dev)
+                    evals += 1
+                    if f < best_f:
+                        best_f, best_labels, best_dev = f, cand, cand_dev
+
+                # Checkpoints passed mid-round still see the previous commit.
+                while checkpoint < evals:
+                    trace.append(cur_f)
+                    checkpoint += checkpoint_every
+                if best_f < cur_f:
+                    labels, dev, cur_f = best_labels, best_dev, best_f
+                if checkpoint == evals:
+                    trace.append(cur_f)
+                    checkpoint += checkpoint_every
+            yield labels, trace, evals
 
     return solvers._solve_days(point_set, traffic_by_day, problem, search, None)
 

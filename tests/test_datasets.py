@@ -124,6 +124,25 @@ def test_make_dataset_kinds():
         datasets.make_dataset("1a", seed=0, widgets=3)
 
 
+@pytest.mark.parametrize("kind, args, name", [
+    ("1a", {"n_points": 20.7}, "n_points"),  # not truncated to 20 points
+    ("2b", {"np_max": 3.0}, "np_max"),
+    ("3a", {"ng": 0}, "ng"),
+    ("1a", {"n_days": 2.5}, "n_days"),
+    ("1a", {"hours": 3.5}, "hours"),
+    ("1a", {"n_days": 0}, "n_days"),
+], ids=["fractional-points", "float-group-size", "empty-core", "fractional-days",
+        "fractional-hours", "no-days"])
+def test_make_dataset_rejects_non_integer_sizes(kind, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+        datasets.make_dataset(kind, seed=0, **args)
+    # numpy integers build the same dataset as Python ints.
+    ds = datasets.make_dataset("2b", seed=3, n_days=np.int64(2), hours=np.int32(5),
+                               n_groups=np.int64(4))
+    assert ds.manifest == datasets.make_dataset("2b", seed=3, n_days=2, hours=5,
+                                                n_groups=4).manifest
+
+
 def test_make_dataset_deterministic_and_regenerate():
     a = datasets.make_dataset("2b", seed=9, n_days=3, n_groups=4, np_max=3)
     b = datasets.regenerate(a.manifest)

@@ -209,7 +209,7 @@ def test_sweep_w_and_budget(small_ds):
         harness.sweep(spec, "budget", [13])
     with pytest.raises(ValueError, match="12.5"):  # not truncated to 12
         harness.sweep(spec, "budget", [12, 12.5])
-    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1, got 0$"):
         harness.run_experiment(replace(spec, workers=0))
     with pytest.raises(ValueError, match="sweep parameter"):
         harness.sweep(spec, "popsize", [5])
@@ -238,6 +238,21 @@ def test_standard_algorithms_validation():
         harness.standard_algorithms(("annealing",))
     with pytest.raises(ValueError):
         harness.AlgorithmSpec(name="x", kind="tabu")
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda ds: _tiny_spec(ds, runs=2.5), "runs must be an integer >= 1, got 2.5"),
+    (lambda ds: _tiny_spec(ds, runs=0), "runs must be an integer >= 1, got 0"),
+    (lambda ds: _tiny_spec(ds, workers=1.0), "workers must be an integer >= 1, got 1.0"),
+    (lambda ds: harness.AlgorithmSpec(name="g", kind="greedy", budget=2.5),
+     "budget must be an integer >= 1, got 2.5"),
+    (lambda ds: harness.AlgorithmSpec(name="g", kind="greedy", popsize=0),
+     "popsize must be an integer >= 1, got 0"),  # greedy's checkpoint interval
+], ids=["fractional-runs", "no-runs", "float-workers", "fractional-budget",
+        "no-checkpoint-interval"])
+def test_specs_reject_non_integer_counts(small_ds, make, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        make(small_ds)
 
 
 def test_duplicate_algorithm_names_rejected(small_ds):

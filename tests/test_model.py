@@ -84,6 +84,10 @@ def test_problem_config_validation():
         model.ProblemConfig(w=0.5, tau=0.0)
     with pytest.raises(ValueError):
         model.ProblemConfig(w=0.5, tau=1.0, H=0)
+    with pytest.raises(ValueError, match="^H must be an integer >= 1, got 2.5"):
+        model.ProblemConfig(w=0.5, tau=1.0, H=2.5)
+    h = model.ProblemConfig(w=0.5, tau=1.0, H=np.int64(6)).H
+    assert type(h) is int and h == 6
 
 
 def test_is_feasible(line_points):

@@ -523,6 +523,27 @@ def test_run_greedy_deploys_its_last_committed_f_exactly(rng):
         assert r.best_fitness.f == r.trace[-1]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 15), st.integers(0, 2**16))
+@example(60, 7, 0)  # a non-divisor: the last checkpoint falls mid-round
+@example(9, 15, 1)  # an interval longer than the budget: the trace is the baseline
+@example(1, 1, 2)  # one evaluation: "stay" alone, then the budget is spent
+def test_run_greedy_matches_reference_loop(budget, every, seed):
+    # Dense points, so rounds have many targets and the budget cuts them short.
+    rng = np.random.default_rng(seed)
+    ps = _random_geometry(rng, 12, box=4.0)
+    traffic = _traffic_days(rng, 12, 2, hours=4)
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=4)
+    live, frozen = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = solvers.run_greedy(ps, traffic, budget, problem, live, checkpoint_every=every)
+    want = _oracles.reference_run_greedy(ps, traffic, budget, problem, frozen, every)
+    for a, b in zip(got, want, strict=True):
+        assert a.best.labels.tolist() == b.best.labels.tolist()
+        assert (a.trace, a.evals_used) == (b.trace, b.evals_used)
+        assert len(a.trace) == 1 + a.evals_used // every
+    assert live.bit_generator.state == frozen.bit_generator.state
+
+
 def _assert_move_dev_exact(labels, values, x, k):
     """Move x of first-appearance ``labels`` to cluster k as greedy builds it; check it."""
     dev = _rows(labels, values)
