@@ -14,8 +14,8 @@ METRICS = ("euclidean", "haversine_meters")
 
 
 def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int, if it is an integer (numpy's included) of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """``value`` as an int, if it is an integer (numpy's, not ``bool``) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 

@@ -175,6 +175,14 @@ def _join(labels: np.ndarray, x: int, k: int, inside: dict[int, list[int]]
     return new, [(kx, [p for p in mx if p != x], mx[0]), (k, sorted([*mk, x]), mk[0])]
 
 
+def _summed(values: np.ndarray, mem: list[int]) -> np.ndarray:
+    """The (1, H) row ``|S - 1|`` of members ``mem`` (ascending), S summed in point order."""
+    a = mem[0]
+    row = (values[a:a + 1] if len(mem) == 1 else values[a:a + 1] + values[mem[1]]
+           if len(mem) == 2 else np.add.accumulate(values.take(mem, axis=0), axis=0)[-1:]) - 1.0
+    return np.abs(row, out=row)
+
+
 def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.ndarray,
              groups: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """``renumber(new)`` and its rows ``|cluster_sums - 1|``, built from the parent's.
@@ -186,6 +194,7 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
     ``labels[:p].max()`` clusters that started before p (r - 1 if cluster r keeps
     its first member); its row is summed in point order, as ``bincount`` adds but
     from the first member, not 0.0, which only flips a zero sum's sign (lost in |S - 1|).
+    A point labelled 0 in ``new``, in no cluster, keeps label 0.
     """
     K, n = dev.shape[0], labels.size
     # (parent rows before it, tie break, parent rows consumed, label, members): each
@@ -203,11 +212,7 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
             size += start - lo
         lo = end
         if mem:
-            a = mem[0]
-            row = (values[a:a + 1] if len(mem) == 1 else values[a:a + 1] + values[mem[1]]
-                   if len(mem) == 2 else
-                   np.add.accumulate(values.take(mem, axis=0), axis=0)[-1:]) - 1.0
-            pieces.append(np.abs(row, out=row))
+            pieces.append(_summed(values, mem))
             size += 1
             placed.append((r, size))
     blocks = [(a, b, shift) for a, b, shift in blocks if shift]
@@ -219,6 +224,15 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
     for r, lab in placed:
         rank[r] = lab
     return rank[new], np.concatenate(pieces)
+
+
+def _move_row(rows: np.ndarray, i: int, j: int, row: np.ndarray) -> None:
+    """Move ``rows[i]`` to ``rows[j]`` in place, shifting the rows between by one, as ``row``."""
+    if i > j:
+        rows[j + 1:i + 1] = rows[j:i]
+    elif i < j:
+        rows[i:j] = rows[i + 1:j + 1]
+    rows[j] = row
 
 
 def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.ndarray:
@@ -412,8 +426,12 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     The trace records the committed fitness at every ``checkpoint_every``
     evaluations, so its length is budget // checkpoint_every + 1.
 
-    Each candidate is built from the committed labels and rows
-    ``|cluster_sums - 1|`` (``_regroup``), two rows summed again.
+    A round builds x's removal once from the committed labels and rows
+    ``|cluster_sums - 1|`` (``_regroup``, x's remaining cluster summed again).
+    Each join gets its own labels, sums its target's row with x, writes it
+    into that removal's rows in place (moved ahead if x now starts the
+    cluster), is scored on them and undone; the best join is redone and
+    committed with those rows. So every candidate is scored on exact rows.
     """
     budget = _integer("budget", budget, 1)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
@@ -433,22 +451,43 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
 
                 # The first candidate is "stay"; strict < keeps it on ties. A
                 # round that would pass the budget is cut short.
-                best_f = score(labels, values, dev)
-                best_labels, best_dev = labels, dev
+                best_f, best = score(labels, values, dev), None
                 targets = targets[:budget - evals - 1]
                 evals += 1 + len(targets)
-                for t_label in targets:
-                    cand, cand_dev = _regroup(labels, dev, values,
-                                              *_join(labels, x, t_label, inside))
-                    f = score(cand, values, cand_dev)
+                if targets:  # x's removal, x labelled 0: every join's labels and rows
+                    kx = int(labels[x])
+                    base = labels.copy()
+                    base[x] = 0
+                    base, rows = _regroup(labels, dev, values, base,
+                                          [(kx, [p for p in inside[kx] if p != x], inside[kx][0])])
+                    q = int(base[:x].max()) if x else 0  # the clusters starting before x
+                for t in targets:
+                    # x joins cluster b: it keeps its place, or starts at x, after the q.
+                    mt = inside[t]
+                    b = int(base[mt[0]])
+                    p = b - 1 if mt[0] < x else q
+                    if p < b - 1:
+                        cand = np.arange(rows.shape[0] + 1)
+                        cand[p + 1:b] += 1
+                        cand[b] = p + 1
+                        cand = cand[base]
+                    else:
+                        cand = base.copy()
+                    cand[x] = p + 1
+                    row = _summed(values, sorted([*mt, x]))
+                    _move_row(rows, b - 1, p, row)
+                    f = score(cand, values, rows)
                     if f < best_f:
-                        best_f, best_labels, best_dev = f, cand, cand_dev
+                        best_f, best = f, (cand, p, b, row)
+                    _move_row(rows, p, b - 1, dev[t - 1])
 
                 # Checkpoints passed mid-round still see the previous commit; so
                 # len(trace) == 1 + evals // checkpoint_every after each round.
                 trace += [cur_f] * ((evals - 1) // checkpoint_every + 1 - len(trace))
-                if best_f < cur_f:
-                    labels, dev, cur_f = best_labels, best_dev, best_f
+                if best is not None:  # a join beat "stay", whose f is cur_f: redo it
+                    labels, p, b, row = best
+                    _move_row(rows, b - 1, p, row)
+                    dev, cur_f = rows, best_f
                 if evals % checkpoint_every == 0:
                     trace.append(cur_f)
             draws.sync()  # the day loop stops without resuming this after its last day

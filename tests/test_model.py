@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bbuclust import harness, model
+from bbuclust import datasets, harness, model, solvers
 from _oracles import dense_distance, feasible, pure_renumber
 
 
@@ -88,6 +88,20 @@ def test_problem_config_validation():
         model.ProblemConfig(w=0.5, tau=1.0, H=2.5)
     h = model.ProblemConfig(w=0.5, tau=1.0, H=np.int64(6)).H
     assert type(h) is int and h == 6
+
+
+@pytest.mark.parametrize("name, make", [
+    ("H", lambda: model.ProblemConfig(w=0.01, tau=1.0, H=True)),
+    ("popsize", lambda: solvers.EaConfig(popsize=True)),
+    ("n_points", lambda: datasets.make_dataset("1a", seed=0, n_points=True)),
+    ("budget", lambda: solvers.run_greedy(
+        model.build_distance_matrix([[0.0, 0.0]]), [model.TrafficDay(values=np.ones((1, 1)))],
+        True, model.ProblemConfig(w=0.01, tau=1.0, H=1), np.random.default_rng(0))),
+], ids=["ProblemConfig.H", "EaConfig.popsize", "make_dataset.n_points", "run_greedy.budget"])
+def test_booleans_are_not_counts(name, make):
+    # bool is a numbers.Integral, but True is no count of hours, individuals or points.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True"):
+        make()
 
 
 def test_is_feasible(line_points):

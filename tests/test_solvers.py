@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -542,6 +544,117 @@ def test_run_greedy_matches_reference_loop(budget, every, seed):
         assert (a.trace, a.evals_used) == (b.trace, b.evals_used)
         assert len(a.trace) == 1 + a.evals_used // every
     assert live.bit_generator.state == frozen.bit_generator.state
+
+
+def _greedy_run_recorded(n, budget, hours, seed, freeze=False):
+    """Run greedy on dense points; return its rounds and the scored arrays, as scored.
+
+    A round is (x, targets, inside, stay, joins, committed); stay and each join
+    are the (labels, labels copy, rows, rows copy, f, values) of one
+    ``fitness_parts`` call. The stay's rows are the round's parent rows (made
+    read-only when ``freeze``); committed is the call the round commits.
+    """
+    rng = np.random.default_rng(seed)
+    ps = _random_geometry(rng, n, box=3.0)
+    traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours), day_index=d)
+               for d in range(2)]
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=hours)
+    nbrs, events, rounds = [], [], []  # events: rounds (lists) and calls
+    within, joinable, parts = solvers.within_tau, solvers._joinable, solvers.fitness_parts
+
+    def recording_joinable(labels, row, kx, counts):
+        targets, inside = joinable(labels, row, kx, counts)
+        x = next(i for i, r in enumerate(nbrs[0]) if r is row)
+        events.append([x, targets, inside])
+        return targets, inside
+
+    def recording_parts(labels, values, w, dev=None):
+        if freeze and events and type(events[-1]) is list:
+            dev.flags.writeable = False  # the stay's rows: the round's parent rows
+        f = parts(labels, values, w, dev)
+        # None for the driver's re-score of a day's deployed labels, which ends the day.
+        events.append(None if dev is None else
+                      (labels, labels.copy(), dev, dev.copy(), f[0], values))
+        return f
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "within_tau", lambda *a: nbrs.append(within(*a)) or nbrs[0])
+        mp.setattr(solvers, "_joinable", recording_joinable)
+        mp.setattr(solvers, "fitness_parts", recording_parts)
+        results = solvers.run_greedy(ps, traffic, budget, problem,
+                                     np.random.default_rng(seed + 1), checkpoint_every=7)
+    for i, event in enumerate(events):
+        if type(event) is list:
+            # Its stay, then its joins, up to the next round or the day's end.
+            calls = list(itertools.takewhile(lambda c: type(c) is tuple, events[i + 1:]))
+            stay, joins = calls[0], calls[1:]
+            best = min(joins, key=lambda c: c[4], default=stay)  # the first of equal f
+            rounds.append((*event, stay, joins, best if best[4] < stay[4] else stay))
+    return rounds, results
+
+
+# A round's kind, from x, its cluster's members and the members of each target scored.
+_CASES = {
+    "x = 0": lambda x, mx, mts: x == 0,
+    "x alone": lambda x, mx, mts: mx == [x],
+    "x first of several": lambda x, mx, mts: mx[0] == x < mx[-1],
+    "target before x": lambda x, mx, mts: any(mt[0] < x for mt in mts),
+    "target after x": lambda x, mx, mts: any(mt[0] > x for mt in mts),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 120), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.just(set()))
+@example(9, 40, 2, 3, set(_CASES))  # one run with a round of each kind
+@example(12, 29, 1, 0, {"budget cut"})
+def test_greedy_scores_every_join_exactly(n, budget, hours, seed, cases):
+    # Every join greedy scores has, bit for bit, the labels and rows _regroup
+    # builds for it from the round's committed state, however its rows were
+    # made; and every committed state has the rows a full sum gives.
+    rounds, results = _greedy_run_recorded(n, budget, hours, seed)
+    seen = set()
+    for x, targets, inside, stay, joins, committed in rounds:
+        labels, dev, values = stay[1], stay[3], stay[5]
+        assert len(joins) <= len(targets)
+        if len(joins) < len(targets):
+            seen.add("budget cut")
+        for t, (_, got_labels, _, got_rows, _, _) in zip(targets, joins):
+            want_labels, want_rows = solvers._regroup(labels, dev, values,
+                                                      *solvers._join(labels, x, t, inside))
+            assert got_labels.dtype == want_labels.dtype
+            assert got_labels.tobytes() == want_labels.tobytes()
+            assert got_rows.shape == want_rows.shape
+            assert got_rows.tobytes() == want_rows.tobytes()
+        if joins:
+            mx, mts = inside[int(labels[x])], [inside[t] for t in targets[:len(joins)]]
+            seen |= {name for name, hit in _CASES.items() if hit(x, mx, mts)}
+        # The committed rows, as they are once the run is over.
+        assert committed[2].tobytes() == _rows(committed[0], values).tobytes()
+        assert committed[2].tobytes() == committed[3].tobytes()
+    assert cases <= seen
+    assert sum(r.evals_used for r in results) == sum(1 + len(r[4]) for r in rounds)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_writes_no_audited_labels_and_no_parent_rows(seed):
+    # Greedy writes each round's joins into one rows buffer in place: no label
+    # array it has audited may change afterwards, and a round's parent rows
+    # (read-only here, so a write raises) are never written.
+    audited = []
+    rng = np.random.default_rng(seed)
+    ps = _random_geometry(rng, 30, box=3.0)
+    traffic = _traffic_days(rng, 30, 2, hours=3)
+    problem = model.ProblemConfig(w=0.01, tau=2.0, H=3)
+    solvers.run_greedy(ps, traffic, 400, problem, np.random.default_rng(seed),
+                       audit=lambda lab: audited.append((lab, lab.copy())))
+    assert len(audited) == 2 * (1 + 400)  # each day's baseline, then its budget
+    assert all(lab.tobytes() == copy.tobytes() for lab, copy in audited)
+    rounds, _ = _greedy_run_recorded(30, 400, 3, seed, freeze=True)
+    assert sum(len(r[4]) for r in rounds) > 100
+    for _, _, _, stay, _, _ in rounds:
+        assert not stay[2].flags.writeable
+        assert stay[2].tobytes() == stay[3].tobytes()
 
 
 def _assert_move_dev_exact(labels, values, x, k):
