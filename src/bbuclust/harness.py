@@ -19,10 +19,10 @@ import numpy as np
 
 from .datasets import Dataset
 from .forecast import make_forecaster
-from .model import PointSet, ProblemConfig, TrafficDay, _integer, nearest_distances
+from .model import PointSet, ProblemConfig, TrafficDay, _integer, _real, nearest_distances
 from .objective import MetricsReport, metrics
 from .solvers import EaConfig, run_ea, run_greedy
-from .stats import friedman_nemenyi
+from .stats import Q_ALPHA, friedman_nemenyi
 
 METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
 
@@ -113,6 +113,9 @@ class ExperimentSpec:
         ProblemConfig(self.w, ProblemConfig.tau if self.tau is None else self.tau)
         for name in ("runs", "workers"):
             _integer(name, getattr(self, name), 1)
+        make_forecaster(self.forecaster)  # an unknown name raises
+        if self.alpha not in Q_ALPHA:
+            raise ValueError(f"alpha must be one of {sorted(Q_ALPHA)}, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def run_seed(base_seed: int, algorithm: str, run: int) -> int:
 def resolve_tau(point_set: PointSet, value: float | None = None) -> float:
     """Resolve the distance cap: an absolute value, or 3x the mean NN distance."""
     if value is not None:
-        if value <= 0:
+        if not _real("tau", value) > 0:
             raise ValueError(f"tau must be positive, got {value}")
         return float(value)
     if point_set.n_points < 2:

@@ -20,6 +20,13 @@ def _integer(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _real(name: str, value):
+    """``value``, if it is a real number (numpy's too, not ``bool``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A set of N points and the metric that measures them.
@@ -100,9 +107,9 @@ class ProblemConfig:
     H: int = 24
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.w <= 1.0):
+        if not (0.0 < _real("w", self.w) <= 1.0):
             raise ValueError(f"w must be in (0, 1], got {self.w}")
-        if not (self.tau > 0.0):
+        if not (_real("tau", self.tau) > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
         object.__setattr__(self, "H", _integer("H", self.H, 1))
 

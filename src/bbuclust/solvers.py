@@ -14,11 +14,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _integer, renumber,
-                    within_tau)
+from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _integer, _real,
+                    renumber, within_tau)
 from .objective import FitnessValue, cluster_sums, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
+
+# Values per block of ``_initial_labels``' pool of unassigned points (chosen by timing).
+_BLOCK = 4096
 
 # Called with each label array a solver scores (feasibility instrumentation).
 # Every array a solver builds is scored, so the hook sees all of them; an
@@ -49,7 +52,7 @@ class EaConfig:
     def __post_init__(self) -> None:
         for name, least in (("popsize", 1), ("maxgen", 0), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if not (0.0 <= self.prob <= 1.0):
+        if not (0.0 <= _real("prob", self.prob) <= 1.0):
             raise ValueError(f"prob must be in [0, 1], got {self.prob}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -236,18 +239,38 @@ def _move_row(rows: np.ndarray, i: int, j: int, row: np.ndarray) -> None:
 
 
 def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.ndarray:
-    """Grow random feasible clusters until every point is assigned."""
-    labels = [0] * len(rows)
-    pool = list(range(len(rows)))  # the unassigned points, ascending
-    k = 0
-    while pool:
-        r = pool.pop(rng.integers(len(pool)))
-        k += 1
+    """Grow random feasible clusters until every point is assigned: ``_pick`` and ``_grow``
+    inline, with the unassigned points in ascending blocks of ``_BLOCK`` values, so that
+    finding the drawn r-th point or deleting a grown one moves few pointers."""
+    below = rng._below if getattr(rng, "_pcg", False) else rng.integers  # numpy's draws
+    labels, n, k = [0] * len(rows), len(rows), 0
+    pool = [list(range(a, min(a + _BLOCK, n))) for a in range(0, n, _BLOCK)]
+    while n:
+        i = below(n)
+        for block in pool:
+            if i < len(block):
+                break
+            i -= len(block)
+        r = block.pop(i)
+        k, n = k + 1, n - 1
         labels[r] = k
         close = [c for c in rows[r] if not labels[c]]
-        if num := int(rng.integers(0, len(close) + 1)) if close else 0:
-            for a in _grow(labels, rows, r, _pick(rng, close, num), k):
-                del pool[bisect_left(pool, a)]
+        num = below(len(close) + 1) if close else 0
+        if num == 1:  # one pick, within tau of r
+            picked = [close[below(len(close))]]
+        elif num:
+            common, picked = set(rows[r]), []  # the points within tau of every kept point
+            for j in rng.choice(len(close), num, replace=False):
+                if (c := close[j]) in common:
+                    picked.append(c)
+                    common.intersection_update(rows[c])
+        else:
+            continue
+        for c in picked:
+            labels[c] = k
+            block = pool[c // _BLOCK]
+            del block[bisect_left(block, c)]
+        n -= len(picked)
     return np.array(labels, dtype=np.int64)
 
 
@@ -429,9 +452,11 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     A round builds x's removal once from the committed labels and rows
     ``|cluster_sums - 1|`` (``_regroup``, x's remaining cluster summed again).
     Each join gets its own labels, sums its target's row with x, writes it
-    into that removal's rows in place (moved ahead if x now starts the
-    cluster), is scored on them and undone; the best join is redone and
-    committed with those rows. So every candidate is scored on exact rows.
+    into that removal's rows in place and is scored on them. A join into a
+    cluster before x is undone at once; one that moves ahead to x's place is
+    slid on by the next such join, and the last is undone after the round.
+    The best join is redone and committed with those rows. So every
+    candidate is scored on exact rows.
     """
     budget = _integer("budget", budget, 1)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
@@ -461,6 +486,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                     base, rows = _regroup(labels, dev, values, base,
                                           [(kx, [p for p in inside[kx] if p != x], inside[kx][0])])
                     q = int(base[:x].max()) if x else 0  # the clusters starting before x
+                    after = None  # the last join after x: its row before the move, parent row
                 for t in targets:
                     # x joins cluster b: it keeps its place, or starts at x, after the q.
                     mt = inside[t]
@@ -475,11 +501,20 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                         cand = base.copy()
                     cand[x] = p + 1
                     row = _summed(values, sorted([*mt, x]))
-                    _move_row(rows, b - 1, p, row)
+                    if mt[0] < x:
+                        rows[p] = row
+                    else:  # slide the last join after x's shift on to b (b ascends)
+                        a, parent_row = after or (q - 1, row)
+                        rows[a + 2:b] = rows[a + 1:b - 1]
+                        rows[a + 1], rows[q] = parent_row, row
+                        after = (b - 1, dev[t - 1])
                     f = score(cand, values, rows)
                     if f < best_f:
                         best_f, best = f, (cand, p, b, row)
-                    _move_row(rows, p, b - 1, dev[t - 1])
+                    if mt[0] < x:
+                        rows[p] = dev[t - 1]
+                if targets and after:  # back to x's removal
+                    _move_row(rows, q, *after)
 
                 # Checkpoints passed mid-round still see the previous commit; so
                 # len(trace) == 1 + evals // checkpoint_every after each round.

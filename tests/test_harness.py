@@ -41,6 +41,32 @@ def test_resolve_tau():
         harness.resolve_tau(single)
 
 
+@pytest.mark.parametrize("value", [float("nan"), -float("nan"), 0.0, -0.0, -1.0])
+def test_resolve_tau_rejects_an_absolute_tau_that_is_not_positive(value):
+    # nan <= 0 is False: nan used to come back as the cap.
+    ps = model.build_distance_matrix([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="^tau must be positive, got -?(nan|0.0|1.0)$"):
+        harness.resolve_tau(ps, value)
+
+
+def test_spec_rejects_an_alpha_or_forecaster_before_any_solve(small_ds, monkeypatch):
+    # alpha used to fail in aggregate, once every run was solved, and an unknown
+    # forecaster at the first forecast; now the spec itself is refused.
+    solved = []
+    monkeypatch.setattr(harness, "run_ea", lambda *a: solved.append(a))
+    monkeypatch.setattr(harness, "run_greedy", lambda *a, **kw: solved.append(a))
+    with pytest.raises(ValueError, match=r"^alpha must be one of \[0.05, 0.1\], got 0.01$"):
+        harness.run_experiment(_tiny_spec(small_ds, alpha=0.01))
+    with pytest.raises(ValueError, match="^alpha must be one of"):
+        _tiny_spec(small_ds, alpha=True)
+    with pytest.raises(ValueError, match="^unknown forecaster 'nope'; expected one of"):
+        harness.run_experiment(_tiny_spec(small_ds, forecaster="nope"))
+    assert solved == []
+    for alpha, forecaster in ((0.05, "oracle"), (np.float64(0.1), "persistence")):
+        spec = _tiny_spec(small_ds, alpha=alpha, forecaster=forecaster)
+        assert (spec.alpha, spec.forecaster) == (alpha, forecaster)
+
+
 def test_resolve_tau_blocks_match_dense_reference(rng):
     # Sizes from 2 to 600; the last case puts co-located twins far apart
     # in index order.

@@ -104,6 +104,31 @@ def test_booleans_are_not_counts(name, make):
         make()
 
 
+_TWO_POINTS = model.build_distance_matrix([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("name, make", [
+    ("w", lambda: model.ProblemConfig(w=True, tau=1.0)),
+    ("tau", lambda: model.ProblemConfig(w=0.01, tau=True)),
+    ("prob", lambda: solvers.EaConfig(prob=True)),
+    ("prob", lambda: solvers.EaConfig(prob=np.True_)),
+    ("tau", lambda: harness.resolve_tau(_TWO_POINTS, True)),
+], ids=["ProblemConfig.w", "ProblemConfig.tau", "EaConfig.prob", "EaConfig.prob-numpy",
+        "resolve_tau"])
+def test_booleans_are_not_reals(name, make):
+    # True compares as 1: it used to pass as w = 1, tau = 1 or prob = 1.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got (np.)?True_?$"):
+        make()
+
+
+def test_reals_take_numpy_scalars_and_keep_them():
+    problem = model.ProblemConfig(w=np.float64(0.5), tau=np.int64(3), H=2)
+    assert (problem.w, problem.tau) == (0.5, 3)
+    assert solvers.EaConfig(prob=np.float32(0.25)).prob == 0.25
+    with pytest.raises(ValueError, match="^w must be a real number, got '0.5'$"):
+        model.ProblemConfig(w="0.5")
+
+
 def test_is_feasible(line_points):
     ok = model.Clustering(labels=[1, 1, 1, 2, 3])
     assert model.is_feasible(ok, line_points, tau=2.0)

@@ -338,6 +338,37 @@ def test_seed_cluster_of_one_drawn_point_matches_frozen_draws():
     assert sizes == {1, 2, 3}  # 2: one point drawn from two
 
 
+def _state(rng):
+    """``rng``'s bit generator state, arrays as lists (MT19937 keeps its key in one)."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                               for k, v in state["state"].items()}}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 2**32 - 1), st.floats(1.0, 60.0),
+       st.sampled_from([1, 3, 64]), st.sampled_from(["PCG64", "MT19937", "Generator"]))
+def test_seed_loop_matches_the_frozen_version_over_any_blocks(n, seed, box, block, kind):
+    # Pool blocks this small split even tiny instances into many. Through the
+    # replayed draws, MT19937 (numpy's own draws) or a plain Generator, three
+    # individuals in a row must equal the frozen loop's, and the generator
+    # must end where its twin does.
+    rng = np.random.default_rng(seed)
+    nbrs = model.within_tau(_blobs_and_loners(rng, n, box), 3.0)
+    bits = np.random.MT19937 if kind == "MT19937" else np.random.PCG64
+    live, frozen = np.random.Generator(bits(seed + 1)), np.random.Generator(bits(seed + 1))
+    draws = live if kind == "Generator" else solvers._Draws(live)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_BLOCK", block)
+        for _ in range(3):
+            got = solvers._initial_labels(_lists(nbrs), draws)
+            want = _oracles._initial_labels(nbrs, frozen)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    if draws is not live:
+        draws.sync()
+    assert _state(live) == _state(frozen)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
 def test_joinable_matches_its_bincount_version(n, seed, alone):
@@ -608,6 +639,10 @@ _CASES = {
        st.just(set()))
 @example(9, 40, 2, 3, set(_CASES))  # one run with a round of each kind
 @example(12, 29, 1, 0, {"budget cut"})
+# Rounds of three or more joins into clusters starting after x, which share one
+# sliding shift, with the best of those joins between the others or the last.
+@example(8, 12, 1, 0, {"after x, best between"})
+@example(10, 20, 2, 0, {"after x, best last"})
 def test_greedy_scores_every_join_exactly(n, budget, hours, seed, cases):
     # Every join greedy scores has, bit for bit, the labels and rows _regroup
     # builds for it from the round's committed state, however its rows were
@@ -629,6 +664,11 @@ def test_greedy_scores_every_join_exactly(n, budget, hours, seed, cases):
         if joins:
             mx, mts = inside[int(labels[x])], [inside[t] for t in targets[:len(joins)]]
             seen |= {name for name, hit in _CASES.items() if hit(x, mx, mts)}
+            after = [j[4] for t, j in zip(targets, joins) if inside[t][0] > x]
+            if len(after) >= 3:
+                i = after.index(min(after))
+                seen.add("after x, best " + ("last" if i == len(after) - 1 else
+                                             "between" if i else "first"))
         # The committed rows, as they are once the run is over.
         assert committed[2].tobytes() == _rows(committed[0], values).tobytes()
         assert committed[2].tobytes() == committed[3].tobytes()
