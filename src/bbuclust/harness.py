@@ -335,7 +335,7 @@ def export_curves(records: Sequence[RunRecord], path: str | Path) -> None:
 
 def _budget(spec: ExperimentSpec, value: float) -> ExperimentSpec:
     """Give every algorithm ``value`` evaluations a day; EAs keep popsize, rescale maxgen."""
-    if not float(value).is_integer():
+    if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError(f"budget must be a whole number of evaluations, got {value}")
     b = int(value)
     if bad := [a.popsize for a in spec.algorithms if a.kind == "ea" and b % a.popsize]:
@@ -347,10 +347,10 @@ def _budget(spec: ExperimentSpec, value: float) -> ExperimentSpec:
 
 # The sweepable parameters, each with its rewrite of a spec to one value.
 SWEEPS = {
-    "w": lambda spec, v: replace(spec, w=float(v)),
-    "tau": lambda spec, v: replace(spec, tau=float(v)),
+    "w": lambda spec, v: replace(spec, w=v),
+    "tau": lambda spec, v: replace(spec, tau=v),
     "prob": lambda spec, v: replace(spec, algorithms=tuple(
-        replace(a, prob=float(v)) if a.kind == "ea" else a for a in spec.algorithms)),
+        replace(a, prob=v) if a.kind == "ea" else a for a in spec.algorithms)),
     "budget": _budget,
 }
 

@@ -77,7 +77,11 @@ class Clustering:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        lab = np.asarray(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # nan: caught below
+            lab = raw.astype(np.int64, copy=False)
+        if raw.dtype == bool or raw.dtype.kind not in "iu" and not (lab == raw).all():
+            raise ValueError(f"labels must be integers, got {raw.dtype} labels")
         if lab.ndim != 1 or lab.size == 0:
             raise ValueError("labels must be a non-empty 1-D array")
         if lab.min() < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,24 +139,19 @@ class _Draws:
         return out
 
 
-def _pick(rng: np.random.Generator, items: Sequence, num: int) -> list:
-    """``rng.choice(items, size=num, replace=False)`` as a list, with the same draws:
-    one item is one bounded draw, as Floyd's sampling takes one step and the shuffle none."""
+def _repair(rows: Sequence[list[int]], r: int, close: Sequence[int], num: int,
+            rng: np.random.Generator) -> list[int]:
+    """Pairwise repair: of ``num`` points of ``close`` (each within tau of r), drawn as
+    ``rng.choice(len(close), num, replace=False)`` draws them, those within tau of every
+    point kept before (one point: one bounded draw, Floyd's one step and no shuffle)."""
     if num == 1:
-        return [items[rng.integers(len(items))]]
-    return [items[i] for i in rng.choice(len(items), size=num, replace=False)]
-
-
-def _grow(labels: np.ndarray | list[int], rows: Sequence[list[int]], seed: int,
-          picked: Iterable[int], k: int) -> list[int]:
-    """Pairwise repair: label seed k, then each picked point within tau of all added (returned)."""
-    labels[seed] = k
-    common = set(rows[seed])  # the points within tau of every added point
-    for c in picked:
-        if c in common:
-            labels[c] = k
+        return [close[rng.integers(len(close))]]
+    common, kept = set(rows[r]), []  # the points within tau of every kept point
+    for j in rng.choice(len(close), num, replace=False):
+        if (c := close[j]) in common:
+            kept.append(c)
             common.intersection_update(rows[c])
-    return [c for c in picked if labels[c] == k]  # no picked point had label k before
+    return kept
 
 
 def _joinable(labels: np.ndarray, row: np.ndarray, kx: int, counts: np.ndarray
@@ -239,8 +234,8 @@ def _move_row(rows: np.ndarray, i: int, j: int, row: np.ndarray) -> None:
 
 
 def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.ndarray:
-    """Grow random feasible clusters until every point is assigned: ``_pick`` and ``_grow``
-    inline, with the unassigned points in ascending blocks of ``_BLOCK`` values, so that
+    """Grow random feasible clusters until every point is assigned (``_repair``; one pick
+    inline), the unassigned points in ascending blocks of ``_BLOCK`` values, so that
     finding the drawn r-th point or deleting a grown one moves few pointers."""
     below = rng._below if getattr(rng, "_pcg", False) else rng.integers  # numpy's draws
     labels, n, k = [0] * len(rows), len(rows), 0
@@ -256,16 +251,10 @@ def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.n
         labels[r] = k
         close = [c for c in rows[r] if not labels[c]]
         num = below(len(close) + 1) if close else 0
-        if num == 1:  # one pick, within tau of r
-            picked = [close[below(len(close))]]
-        elif num:
-            common, picked = set(rows[r]), []  # the points within tau of every kept point
-            for j in rng.choice(len(close), num, replace=False):
-                if (c := close[j]) in common:
-                    picked.append(c)
-                    common.intersection_update(rows[c])
-        else:
+        if not num:
             continue
+        # One pick (within tau of r) inline: through _repair it costs this loop about 5%.
+        picked = [close[below(len(close))]] if num == 1 else _repair(rows, r, close, num, rng)
         for c in picked:
             labels[c] = k
             block = pool[c // _BLOCK]
@@ -306,7 +295,8 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequenc
     if adjacent := sorted(k for k in inside if k != kx):
         c = adjacent[rng.integers(len(adjacent))]
         num = int(rng.integers(1, len(inside[c]) + 1))
-        pulled = _grow(new, rows, x, _pick(rng, inside[c], num), counts.size)
+        pulled = _repair(rows, x, inside[c], num, rng)
+        new[[x, *pulled]] = counts.size
         mc = np.flatnonzero(labels == c).tolist()  # c is not wholly within the row
         return new, [rest, (c, [p for p in mc if p not in pulled], mc[0]),
                      (counts.size, sorted([x, *pulled]), -1)]
@@ -323,9 +313,8 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     c = int(multi[rng.integers(multi.size)])
     mem = np.flatnonzero(labels == c)
     nsplit = int(rng.integers(1, mem.size // 2 + 1))
-    picked = _pick(rng, mem, nsplit)
     new = labels.copy()
-    new[picked] = counts.size
+    new[mem[rng.choice(mem.size, nsplit, replace=False)]] = counts.size
     return renumber(new)
 
 
@@ -391,16 +380,12 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = _Draws(np.random.default_rng(seeds[0]))
         rows = [row.tolist() for row in nbrs]
-        labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
-
         for d, values in enumerate(values_by_day):
-            if d:
-                # Seed today's population from yesterday's, with yesterday's rng.
-                if config.variant == "split":
-                    labels = [_split_labels(lab, rng) for lab in labels]
-                elif config.variant == "rand":
-                    labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
-                # "copy": population carries over as-is.
+            # Today's population, by yesterday's rng (day 0: seeds[0]'s); "copy" keeps it.
+            if not d or config.variant == "rand":
+                labels = [_initial_labels(rows, rng) for _ in range(config.popsize)]
+            elif config.variant == "split":
+                labels = [_split_labels(lab, rng) for lab in labels]
             rng = _Draws(np.random.default_rng(seeds[d + 1]))
             # (f, labels, rows summed in full once a day, labels in first-appearance
             # order, _mutate_labels' memo)

@@ -247,7 +247,10 @@ def test_sweep_w_and_budget(small_ds):
     ("prob", [0.5, 1.5], "prob must be"),
     ("tau", [6.0, -1.0], "tau must be positive"),
     ("popsize", [], "sweep parameter"),
-], ids=["budget-13", "w-2", "prob-1.5", "tau-negative", "unknown-empty"])
+    # True is no value of any sweep parameter, though float(True) is 1.0.
+    *((param, [True], "got True$") for param in harness.SWEEPS),
+], ids=["budget-13", "w-2", "prob-1.5", "tau-negative", "unknown-empty",
+        *(f"{param}-True" for param in harness.SWEEPS)])
 def test_sweep_checks_every_value_before_running(small_ds, monkeypatch, param, values, match):
     calls, run = [], harness.run_experiment
     monkeypatch.setattr(harness, "run_experiment", lambda s: calls.append(s) or run(s))

@@ -72,6 +72,14 @@ def test_clustering_validation():
         model.Clustering(labels=[1, 3])  # gap: no cluster 2
     with pytest.raises(ValueError):
         model.Clustering(labels=[])
+    # Labels that int64 would change are no labels; whole floats are.
+    for bad in ([1.5, 2.7, 1.2], [True, True], [1.0, np.nan], np.array([1.0, 2.0, np.inf])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            model.Clustering(labels=bad)
+    c = model.Clustering(labels=np.array([1.0, 2.0, 1.0]))
+    assert c.labels.dtype == np.int64 and c.labels.tolist() == [1, 2, 1]
+    lab = np.array([1, 2, 2, 3], dtype=np.int64)
+    assert model.Clustering(labels=lab).labels is lab  # taken as it is, no copy
 
 
 def test_problem_config_validation():

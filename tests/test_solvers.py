@@ -228,25 +228,31 @@ def test_memo_mutations_match_the_frozen_operator(n, seed, box, prob):
         pop = [merged[i] for i in rng.integers(len(merged), size=3)]
 
 
-def test_pick_is_choice_without_replacement_draw_for_draw():
-    # Lists (with a repeated item) and ranges, every size; each pick must
-    # return choice's items and leave the generator where choice leaves it.
-    for items in ([7], [3, 1, 4, 1, 5, 9, 2, 6], list(range(40, 0, -2)), range(9), range(3, 60, 7)):
-        for num in range(1, len(items) + 1):
+@pytest.mark.parametrize("kind", ["Generator", "PCG64", "MT19937"])
+def test_repair_is_grow_over_choice_draw_for_draw(kind):
+    # Every pick size of every point's close list on a line at tau = 2.5, where
+    # points up to 5 apart are both close to the middle one: repair must keep
+    # the points the frozen ``_grow`` keeps from ``choice``'s picks, in draw
+    # order, and leave the generator where ``choice`` leaves it.
+    nbrs = model.within_tau(_points([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5, 9.0]), 2.5)
+    rows, rejected = _lists(nbrs), 0
+    bits = np.random.MT19937 if kind == "MT19937" else np.random.PCG64
+    for r, row in enumerate(rows):
+        close = [c for c in row if c != r]
+        for num in range(1, len(close) + 1):
             for seed in range(4):
-                live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = solvers._pick(live, items, num)
-                assert got == frozen.choice(items, size=num, replace=False).tolist()
-                assert live.bit_generator.state == frozen.bit_generator.state
-    # Populations around 2**32, where a bounded draw leaves the 32-bit path.
-    # choice(n) draws as choice(range(n)) does, without an n-item array.
-    for n in (2**32 - 1, 2**32, 2**32 + 5):
-        for num in (1, 2, 3):
-            for seed in range(4):
-                live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = solvers._pick(live, range(n), num)
-                assert got == frozen.choice(n, size=num, replace=False).tolist()
-                assert live.bit_generator.state == frozen.bit_generator.state
+                live, frozen = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+                draws = live if kind == "Generator" else solvers._Draws(live)
+                got = solvers._repair(rows, r, close, num, draws)
+                picked = frozen.choice(close, size=num, replace=False).tolist()
+                labels = np.zeros(len(rows), dtype=np.int64)
+                _oracles._grow(labels, nbrs, r, picked, 1)
+                assert got == [c for c in picked if labels[c] == 1]
+                if draws is not live:
+                    draws.sync()
+                assert _state(live) == _state(frozen)
+                rejected += len(got) < num
+    assert rejected  # repair turned picks away
 
 
 # Ranges of a bounded draw: 1 takes no bits; the 32-bit path runs up to 2**32.
