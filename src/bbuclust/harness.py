@@ -363,5 +363,7 @@ def sweep(spec: ExperimentSpec, param: str, values: Sequence[float],
     """
     if param not in SWEEPS:
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {tuple(SWEEPS)}")
+    if param == "prob" and all(a.kind != "ea" for a in spec.algorithms):
+        raise ValueError("prob is the EA's mutation probability, but no algorithm is an EA")
     specs = [(float(v), SWEEPS[param](spec, v)) for v in values]
     return [(v, run_experiment(s)) for v, s in specs]

@@ -192,7 +192,6 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
     ``labels[:p].max()`` clusters that started before p (r - 1 if cluster r keeps
     its first member); its row is summed in point order, as ``bincount`` adds but
     from the first member, not 0.0, which only flips a zero sum's sign (lost in |S - 1|).
-    A point labelled 0 in ``new``, in no cluster, keeps label 0.
     """
     K, n = dev.shape[0], labels.size
     # (parent rows before it, tie break, parent rows consumed, label, members): each
@@ -222,6 +221,24 @@ def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.nd
     for r, lab in placed:
         rank[r] = lab
     return rank[new], np.concatenate(pieces)
+
+
+def _remove(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, x: int, rest: list[int]
+            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """x out of its cluster kx (``rest``: kx's other points, ascending): the labels (x's 0) and
+    rows ``_regroup`` gives, built in closed form, and the number of clusters starting before x."""
+    kx, K = int(labels[x]), dev.shape[0]
+    if rest and rest[0] < x:  # kx keeps its first point, and its place
+        base, rows = labels.copy(), dev.copy()
+        base[x], rows[kx - 1] = 0, _summed(values, rest)
+        return base, rows, int(base[:x].max())
+    m = int(labels[:rest[0]].max()) if rest else K  # x led kx: the rest's label (none: K)
+    rank = np.arange(K + 1)  # kx becomes m, and kx + 1..m move down one
+    rank[kx], rank[kx + 1:m + 1] = m, np.arange(kx, m)
+    base = rank[labels]
+    base[x] = 0
+    summed = [_summed(values, rest)] if rest else []
+    return base, np.concatenate((dev[:kx - 1], dev[kx:m], *summed, dev[m:])), kx - 1
 
 
 def _move_row(rows: np.ndarray, i: int, j: int, row: np.ndarray) -> None:
@@ -435,7 +452,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     evaluations, so its length is budget // checkpoint_every + 1.
 
     A round builds x's removal once from the committed labels and rows
-    ``|cluster_sums - 1|`` (``_regroup``, x's remaining cluster summed again).
+    ``|cluster_sums - 1|`` (``_remove``, x's remaining cluster summed again).
     Each join gets its own labels, sums its target's row with x, writes it
     into that removal's rows in place and is scored on them. A join into a
     cluster before x is undone at once; one that moves ahead to x's place is
@@ -453,34 +470,27 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             labels = np.arange(1, n + 1, dtype=np.int64)
             dev = np.abs(cluster_sums(labels, values) - 1.0)
             cur_f = score(labels, values, dev)
-            trace = [cur_f]
-            evals = 0
+            trace, evals = [cur_f], 0
             while evals < budget:
                 x = int(draws.integers(n))
                 targets, inside = _joinable(labels, nbrs[x], int(labels[x]), np.bincount(labels))
-
                 # The first candidate is "stay"; strict < keeps it on ties. A
                 # round that would pass the budget is cut short.
                 best_f, best = score(labels, values, dev), None
                 targets = targets[:budget - evals - 1]
                 evals += 1 + len(targets)
                 if targets:  # x's removal, x labelled 0: every join's labels and rows
-                    kx = int(labels[x])
-                    base = labels.copy()
-                    base[x] = 0
-                    base, rows = _regroup(labels, dev, values, base,
-                                          [(kx, [p for p in inside[kx] if p != x], inside[kx][0])])
-                    q = int(base[:x].max()) if x else 0  # the clusters starting before x
+                    mx = inside[int(labels[x])]
+                    base, rows, q = _remove(labels, dev, values, x, [p for p in mx if p != x])
                     after = None  # the last join after x: its row before the move, parent row
                 for t in targets:
                     # x joins cluster b: it keeps its place, or starts at x, after the q.
                     mt = inside[t]
                     b = int(base[mt[0]])
                     p = b - 1 if mt[0] < x else q
-                    if p < b - 1:
+                    if p < b - 1:  # b becomes p + 1, and p + 1..b - 1 move up one
                         cand = np.arange(rows.shape[0] + 1)
-                        cand[p + 1:b] += 1
-                        cand[b] = p + 1
+                        cand[b], cand[p + 1:b] = p + 1, np.arange(p + 2, b + 1)
                         cand = cand[base]
                     else:
                         cand = base.copy()

@@ -259,6 +259,16 @@ def test_sweep_checks_every_value_before_running(small_ds, monkeypatch, param, v
     assert calls == []
 
 
+def test_sweep_prob_needs_an_ea(small_ds, monkeypatch):
+    # prob is the EA's alone: without an EA, every value would run the same experiment.
+    calls, run = [], harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment", lambda s: calls.append(s) or run(s))
+    spec = _tiny_spec(small_ds, algs=("greedy",))
+    with pytest.raises(ValueError, match="^prob is the EA's mutation probability, but no "):
+        harness.sweep(spec, "prob", [0.1, 0.9, True])
+    assert calls == []
+
+
 def test_standard_algorithms_validation():
     algs = harness.standard_algorithms(("splitea", "randea", "copyea", "greedy"))
     assert [a.kind for a in algs] == ["ea", "ea", "ea", "greedy"]

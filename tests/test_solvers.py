@@ -635,6 +635,7 @@ _CASES = {
     "x = 0": lambda x, mx, mts: x == 0,
     "x alone": lambda x, mx, mts: mx == [x],
     "x first of several": lambda x, mx, mts: mx[0] == x < mx[-1],
+    "x after its cluster's first": lambda x, mx, mts: mx[0] < x,
     "target before x": lambda x, mx, mts: any(mt[0] < x for mt in mts),
     "target after x": lambda x, mx, mts: any(mt[0] > x for mt in mts),
 }
@@ -1034,6 +1035,60 @@ def test_regroup_pull_example(hours):
         assert _assert_regroup_exact(parent, values, new, groups).tolist() == [1, 1, 2, 3, 3, 4]
         pulls += 1
     assert pulls > 0
+
+
+@pytest.mark.parametrize("hours", [1, 2, 24])
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 40])
+def test_summed_is_the_sequential_sum(hours, size):
+    # A cluster's row adds its members' rows one after another in point order,
+    # as bincount does. np.add.reduce sums a contiguous column in blocks and
+    # pairs (at H = 1, from 8 members here), which gives other bits.
+    rng = np.random.default_rng(100 * hours + size)
+    values = rng.random((60, hours)) * 10.0 ** rng.integers(-8, 3, size=(60, hours))
+    for _ in range(20):
+        mem = np.sort(rng.choice(60, size, replace=False)).tolist()
+        total = values[mem[0]]
+        for p in mem[1:]:
+            total = total + values[p]
+        got = solvers._summed(values, mem)
+        assert got.shape == (1, hours)
+        assert got.tobytes() == np.abs(total - 1.0).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=60), st.integers(0, 10**6),
+       st.integers(1, 4), st.integers(0, 2**32 - 1), st.just(None))
+@example(_EXAMPLE.tolist(), 0, 2, 0, "x = 0")  # x = 0 leads cluster 1 = {0, 2, 7}
+@example(_EXAMPLE.tolist(), 11, 1, 1, "x alone, kx = K")
+@example(_EXAMPLE.tolist(), 10, 3, 2, "x alone")
+@example(_EXAMPLE.tolist(), 7, 1, 3, "x after its cluster's first")
+@example(_EXAMPLE.tolist(), 5, 2, 4, "x led kx, m = kx")  # 4 = {5, 8}: none starts at 6, 7
+@example(_EXAMPLE.tolist(), 1, 3, 5, "x led kx, m > kx")  # 2 = {1, 4, 9}: 3 starts at 3
+def test_remove_matches_regroup(raw, x, hours, seed, case):
+    # x's removal from its cluster, as greedy builds it once a round, is what
+    # _regroup gives for x labelled 0 and its cluster regrouped without it,
+    # with q the clusters starting before x; the parent is never written.
+    labels = model.renumber(np.array(raw))
+    x %= labels.size
+    values = _special_traffic(np.random.default_rng(seed), labels.size, hours)
+    dev = _rows(labels, values)
+    kx, K = int(labels[x]), int(labels.max())
+    mem = np.flatnonzero(labels == kx).tolist()
+    rest = [p for p in mem if p != x]
+    new = labels.copy()
+    new[x] = 0
+    want_labels, want_rows = solvers._regroup(labels, dev, values, new, [(kx, rest, mem[0])])
+    labels.flags.writeable = dev.flags.writeable = False
+    base, rows, q = solvers._remove(labels, dev, values, x, rest)
+    assert base.dtype == want_labels.dtype and base.tobytes() == want_labels.tobytes()
+    assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
+    assert q == (int(base[:x].max()) if x else 0)
+    m = int(base[rest[0]]) if rest else K
+    seen = {"x = 0"} if x == 0 else set()
+    seen.add("x alone, kx = K" if not rest and kx == K else "x alone" if not rest else
+             "x after its cluster's first" if rest[0] < x else
+             "x led kx, m = kx" if m == kx else "x led kx, m > kx")
+    assert case is None or case in seen
 
 
 @settings(max_examples=300, deadline=None)
