@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PointSet, TrafficDay, _integer, build_distance_matrix
+from .model import PointSet, TrafficDay, _integer, _real, build_distance_matrix
 
 # Each kind's size arguments and their defaults.
 SIZES = {
@@ -236,9 +236,12 @@ def make_dataset(kind: str, seed: int, n_days: int = 7, name: str | None = None,
     if extra:
         raise ValueError(f"kind {kind!r} takes the size arguments {list(SIZES[kind])}, "
                          f"not {extra}")
+    seed = _integer("seed", seed, 0)
     n_days, hours = _integer("n_days", n_days, 1), _integer("hours", hours, 1)
-    params = {k: _integer(k, sizes.get(k, d), 1) if type(d) is int else float(sizes.get(k, d))
-              for k, d in SIZES[kind].items()}
+    params = {k: _integer(k, sizes.get(k, d), 1) if type(d) is int
+              else float(_real(k, sizes.get(k, d))) for k, d in SIZES[kind].items()}
+    if bad := [k for k, v in params.items() if not 0 < v < math.inf]:  # nan fails too
+        raise ValueError(f"{bad[0]} must be a finite number > 0, got {params[bad[0]]!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if "n_points" in params:
         positions = gen_locations_random(params["n_points"], params["box"], rng)
@@ -306,7 +309,10 @@ def _traffic_text(day: TrafficDay) -> str:
 def load_dataset(in_dir: str | Path) -> Dataset:
     """Load a dataset directory written by :func:`save_dataset`."""
     d = Path(in_dir)
-    manifest = DatasetManifest.from_json((d / "manifest.json").read_text())
+    try:  # not an object, or a field missing or unknown
+        manifest = DatasetManifest.from_json((d / "manifest.json").read_text())
+    except (ValueError, TypeError, AttributeError) as e:
+        raise ValueError(f"{d / 'manifest.json'}: not a dataset manifest ({e!r})") from None
     point_set, traffic = _read_csvs(d / "locations.csv", d / "traffic.csv",
                                     manifest.distance_metric)
     found = (point_set.n_points, len(traffic), traffic[0].n_hours)

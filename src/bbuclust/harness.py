@@ -113,6 +113,7 @@ class ExperimentSpec:
         ProblemConfig(self.w, ProblemConfig.tau if self.tau is None else self.tau)
         for name in ("runs", "workers"):
             _integer(name, getattr(self, name), 1)
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, -math.inf))
         make_forecaster(self.forecaster)  # an unknown name raises
         if self.alpha not in Q_ALPHA:
             raise ValueError(f"alpha must be one of {sorted(Q_ALPHA)}, got {self.alpha}")
@@ -309,14 +310,17 @@ def write_records(records: Sequence[RunRecord], path: str | Path) -> None:
 def read_records(path: str | Path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            doc["days"] = tuple(DayRecord(**{**d, "trace": tuple(d["trace"])})
-                                for d in doc["days"])
-            records.append(RunRecord(**doc))
+            try:  # not an object, or a field missing or unknown
+                doc = json.loads(line)
+                doc["days"] = tuple(DayRecord(**{**d, "trace": tuple(d["trace"])})
+                                    for d in doc["days"])
+                records.append(RunRecord(**doc))
+            except (ValueError, TypeError, KeyError, AttributeError) as e:
+                raise ValueError(f"{path} line {i}: not a run record ({e!r})") from None
     return records
 
 

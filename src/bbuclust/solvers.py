@@ -70,10 +70,10 @@ class DayResult:
 
 
 class _Draws:
-    """``rng``'s ``integers``, ``random`` and ``choice(n, size, replace=False)``: numpy's values
-    (Lemire's method on 32-bit halves; Floyd's sampling, then a shuffle, into a list), replayed
-    from PCG64 words fetched in blocks. ``rng`` draws the rest (ranges over 2**32, the tail
-    shuffle)."""
+    """``rng``'s ``integers(high)``, ``random`` and ``choice(n, size, replace=False)``: numpy's
+    values (Lemire's method on 32-bit halves; Floyd's sampling, then a shuffle, into a list),
+    replayed from PCG64 words fetched in blocks. ``rng`` draws the rest (ranges over 2**32, the
+    tail shuffle)."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng, self._words = rng, []  # the block's unused words, next last
@@ -115,11 +115,10 @@ class _Draws:
                 return m >> 32
         return 0
 
-    def integers(self, low, high=None):
-        low, high = (0, low) if high is None else (low, high)
-        if type(low) is int and type(high) is int and low < high <= low + (1 << 32):
-            return low + self._below(high - low)
-        return self._numpy("integers", low, high)
+    def integers(self, high):
+        if type(high) is int and 0 < high <= 1 << 32:
+            return self._below(high)
+        return self._numpy("integers", high)
 
     def random(self) -> float:
         return (self._word() >> 11) * (1.0 / 9007199254740992.0)
@@ -154,23 +153,17 @@ def _repair(rows: Sequence[list[int]], r: int, close: Sequence[int], num: int,
     return kept
 
 
-def _joinable(labels: np.ndarray, row: np.ndarray, kx: int, counts: np.ndarray
-              ) -> tuple[list[int], dict[int, list[int]]]:
-    """Clusters other than kx wholly within ``row``, ascending (counts =
-    bincount(labels)), and the points of ``row`` by label, each ascending."""
+def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: np.ndarray
+              ) -> tuple[int, list[int], list[int], dict[int, list[int]]]:
+    """x's cluster kx and x's cluster-mates (all in x's row ``row``, as kx is feasible), the
+    other clusters wholly within ``row``, ascending (counts = bincount(labels)), and the
+    points of ``row`` by label, each ascending."""
     inside: dict[int, list[int]] = {}
     for p, k in zip(row.tolist(), labels[row].tolist()):
         inside.setdefault(k, []).append(p)
-    return sorted(k for k, mem in inside.items() if k != kx and len(mem) == counts[k]), inside
-
-
-def _join(labels: np.ndarray, x: int, k: int, inside: dict[int, list[int]]
-          ) -> tuple[np.ndarray, list[tuple]]:
-    """``labels`` with x moved into cluster k, and its regrouping; ``inside`` is x's row."""
-    new = labels.copy()
-    kx, new[x] = int(labels[x]), k
-    mx, mk = inside[kx], inside[k]
-    return new, [(kx, [p for p in mx if p != x], mx[0]), (k, sorted([*mk, x]), mk[0])]
+    kx = int(labels[x])
+    return (kx, [p for p in inside[kx] if p != x],
+            sorted(k for k, mem in inside.items() if k != kx and len(mem) == counts[k]), inside)
 
 
 def _summed(values: np.ndarray, mem: list[int]) -> np.ndarray:
@@ -302,16 +295,15 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequenc
     x = int(iso[rng.integers(len(iso))] if len(iso) else rng.integers(labels.size))
     if len(rows[x]) == 1:  # no point within tau of x, which is alone: the unchanged copy
         return labels.copy(), []
-    kx = int(labels[x])
-    joinable, inside = _joinable(labels, nbrs[x], kx, counts)
+    kx, mates, joinable, inside = _joinable(labels, nbrs[x], x, counts)
+    new, rest = labels.copy(), (kx, mates, inside[kx][0])
     if joinable:
-        return _join(labels, x, joinable[rng.integers(len(joinable))], inside)
-    new, mx = labels.copy(), inside[kx]
-    rest = (kx, [p for p in mx if p != x], mx[0])
+        new[x] = k = joinable[rng.integers(len(joinable))]
+        return new, [rest, (k, sorted([*inside[k], x]), inside[k][0])]
     # Failing a join: the clusters with at least one member within tau of x.
     if adjacent := sorted(k for k in inside if k != kx):
         c = adjacent[rng.integers(len(adjacent))]
-        num = int(rng.integers(1, len(inside[c]) + 1))
+        num = 1 + int(rng.integers(len(inside[c])))
         pulled = _repair(rows, x, inside[c], num, rng)
         new[[x, *pulled]] = counts.size
         mc = np.flatnonzero(labels == c).tolist()  # c is not wholly within the row
@@ -329,7 +321,7 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return labels.copy()
     c = int(multi[rng.integers(multi.size)])
     mem = np.flatnonzero(labels == c)
-    nsplit = int(rng.integers(1, mem.size // 2 + 1))
+    nsplit = 1 + int(rng.integers(mem.size // 2))
     new = labels.copy()
     new[mem[rng.choice(mem.size, nsplit, replace=False)]] = counts.size
     return renumber(new)
@@ -473,15 +465,14 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             trace, evals = [cur_f], 0
             while evals < budget:
                 x = int(draws.integers(n))
-                targets, inside = _joinable(labels, nbrs[x], int(labels[x]), np.bincount(labels))
+                _, mates, targets, inside = _joinable(labels, nbrs[x], x, np.bincount(labels))
                 # The first candidate is "stay"; strict < keeps it on ties. A
                 # round that would pass the budget is cut short.
                 best_f, best = score(labels, values, dev), None
                 targets = targets[:budget - evals - 1]
                 evals += 1 + len(targets)
                 if targets:  # x's removal, x labelled 0: every join's labels and rows
-                    mx = inside[int(labels[x])]
-                    base, rows, q = _remove(labels, dev, values, x, [p for p in mx if p != x])
+                    base, rows, q = _remove(labels, dev, values, x, mates)
                     after = None  # the last join after x: its row before the move, parent row
                 for t in targets:
                     # x joins cluster b: it keeps its place, or starts at x, after the q.

@@ -277,7 +277,9 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
 
 def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkpoint_every):
     """The greedy loop ``solvers.run_greedy`` must reproduce, kept verbatim except
-    that it draws from ``rng`` itself, the draws ``solvers._Draws`` replays.
+    that it draws from ``rng`` itself, the draws ``solvers._Draws`` replays, finds
+    and moves into the joinable clusters through the frozen operators above and
+    hands the scorer each array's rows |cluster_sums - 1| computed from scratch.
     """
     n = point_set.n_points
 
@@ -291,8 +293,7 @@ def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkp
             evals = 0
             while evals < budget:
                 x = int(rng.integers(n))
-                targets, inside = solvers._joinable(labels, nbrs[x], int(labels[x]),
-                                                    np.bincount(labels))
+                targets = _joinable(labels, nbrs[x], x, np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
                 best_f = score(labels, values, dev)
@@ -301,8 +302,8 @@ def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkp
                 for t_label in targets:
                     if evals >= budget:
                         break
-                    cand, cand_dev = solvers._regroup(labels, dev, values,
-                                                      *solvers._join(labels, x, t_label, inside))
+                    cand = _move(labels, x, t_label)
+                    cand_dev = _rows(cand, values)
                     f = score(cand, values, cand_dev)
                     evals += 1
                     if f < best_f:

@@ -137,7 +137,11 @@ def test_table1_output(capsys):
     ["--type", "1a", "--days", "-2"],
     ["--type", "1a", "--hours", "0"],
     ["--type", "3a", "--n-points", "5"],
-], ids=["no-days", "negative-days", "no-hours", "size-of-other-kind"])
+    ["--type", "1a", "--box", "inf"],
+    ["--type", "2a", "--tau-gen", "nan"],
+    ["--type", "1a", "--seed", "-1"],
+], ids=["no-days", "negative-days", "no-hours", "size-of-other-kind", "infinite-box",
+        "nan-tau-gen", "negative-seed"])
 def test_gen_dataset_rejects_empty_sizes(tmp_path, capsys, flags):
     out = tmp_path / "x"
     assert cli.main(["gen-dataset", *flags, "--out", str(out)]) == 1
@@ -162,6 +166,49 @@ def test_error_exits(ds_dir, tmp_path, capsys):
     assert "24" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         cli.main(["run", "--dataset", str(ds_dir), "--alpha", "0.2"])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda m: {**m, "extra": 1}, "'extra'"),
+    (lambda m: {k: v for k, v in m.items() if k != "seed"}, "'seed'"),
+    (lambda m: [m], "'list'"),
+], ids=["unknown-field", "missing-field", "not-an-object"])
+def test_run_rejects_malformed_manifest(ds_dir, tmp_path, capsys, edit, named):
+    d = tmp_path / "bad"
+    shutil.copytree(ds_dir, d)
+    (d / "manifest.json").write_text(json.dumps(edit(json.loads((d / "manifest.json")
+                                                                .read_text()))))
+    assert cli.main(["run", "--dataset", str(d), *RUN_FLAGS]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert err[0].startswith(f"error: {d / 'manifest.json'}: not a dataset manifest (")
+
+
+@pytest.fixture(scope="module")
+def records_lines(ds_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("res")
+    assert cli.main(["run", "--dataset", str(ds_dir), *RUN_FLAGS, "--out", str(out)]) == 0
+    return (out / "records.ndjson").read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda r: {k: v for k, v in r.items() if k != "days"}, "'days'"),
+    (lambda r: {**r, "days": [{k: v for k, v in d.items() if k != "trace"}
+                              for d in r["days"]]}, "'trace'"),
+    (lambda r: {**r, "extra": 1}, "'extra'"),
+    (lambda r: [r], "list indices"),
+    ("{", "JSONDecodeError"),
+], ids=["no-days", "no-trace", "unknown-field", "not-an-object", "not-json"])
+def test_compare_rejects_malformed_records(records_lines, tmp_path, capsys, edit, named):
+    # The second line is bad: the error names the file, the line and the field.
+    path, lines = tmp_path / "records.ndjson", list(records_lines)
+    lines[1] = edit if type(edit) is str else json.dumps(edit(json.loads(lines[1])))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["compare", "--records", str(path), "--out", str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert err[0].startswith(f"error: {path} line 2: not a run record (")
 
 
 @pytest.mark.parametrize("name, edit", [

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -141,6 +143,30 @@ def test_make_dataset_rejects_non_integer_sizes(kind, args, name):
                                n_groups=np.int64(4))
     assert ds.manifest == datasets.make_dataset("2b", seed=3, n_days=2, hours=5,
                                                 n_groups=4).manifest
+
+
+@pytest.mark.parametrize("kind, args, match", [
+    ("1a", {"box": "100"}, "box must be a real number, got '100'"),
+    ("1a", {"box": True}, "box must be a real number, got True"),
+    ("1a", {"box": math.inf}, "box must be a finite number > 0, got inf"),
+    ("1a", {"box": math.nan}, "box must be a finite number > 0, got nan"),
+    ("1a", {"box": -5.0}, "box must be a finite number > 0, got -5.0"),
+    ("2a", {"tau_gen": math.nan}, "tau_gen must be a finite number > 0, got nan"),
+    ("1a", {"seed": True}, "seed must be an integer >= 0, got True"),
+    ("1a", {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ("1a", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+], ids=["string-box", "bool-box", "infinite-box", "nan-box", "negative-box", "nan-tau-gen",
+        "bool-seed", "fractional-seed", "negative-seed"])
+def test_make_dataset_rejects_bad_reals_and_seeds(kind, args, match):
+    args = {"seed": 0, **args}
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        datasets.make_dataset(kind, n_days=1, **args)
+    # numpy reals and integers build the same dataset as Python floats and ints.
+    ds = datasets.make_dataset("1a", seed=np.int64(4), n_days=1, n_points=5,
+                               box=np.float32(100.0))
+    assert ds.manifest == datasets.make_dataset("1a", seed=4, n_days=1, n_points=5,
+                                                box=100.0).manifest
+    assert type(ds.manifest.seed) is int and type(ds.manifest.generator_params["box"]) is float
 
 
 def test_make_dataset_deterministic_and_regenerate():

@@ -287,11 +287,23 @@ def test_standard_algorithms_validation():
      "budget must be an integer >= 1, got 2.5"),
     (lambda ds: harness.AlgorithmSpec(name="g", kind="greedy", popsize=0),
      "popsize must be an integer >= 1, got 0"),  # greedy's checkpoint interval
+    # Negative base seeds stay accepted: run_seed masks them.
+    (lambda ds: _tiny_spec(ds, base_seed=1.5), "base_seed must be an integer >= -inf, got 1.5"),
+    (lambda ds: _tiny_spec(ds, base_seed=True), "base_seed must be an integer >= -inf, got True"),
 ], ids=["fractional-runs", "no-runs", "float-workers", "fractional-budget",
-        "no-checkpoint-interval"])
+        "no-checkpoint-interval", "fractional-base-seed", "bool-base-seed"])
 def test_specs_reject_non_integer_counts(small_ds, make, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
         make(small_ds)
+
+
+def test_spec_accepts_negative_and_numpy_base_seeds(small_ds):
+    # run_seed masks a negative base seed; a numpy one is stored as an int, as
+    # run_seed's xor with a 64-bit digest overflows an int64.
+    assert _tiny_spec(small_ds, base_seed=-3).base_seed == -3
+    spec = _tiny_spec(small_ds, algs=("greedy",), runs=1, base_seed=np.int64(7))
+    assert type(spec.base_seed) is int
+    assert harness.run_experiment(spec) == harness.run_experiment(replace(spec, base_seed=7))
 
 
 def test_duplicate_algorithm_names_rejected(small_ds):

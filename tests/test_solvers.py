@@ -261,7 +261,6 @@ _SPANS = st.sampled_from([1, 2, 2**31 + 5, 2**32 - 1, 2**32]) | st.integers(1, 6
 # sampling at size 100 and numpy's tail shuffle at 401.
 _CALLS = st.one_of(
     st.tuples(st.just("integers"), st.tuples(_SPANS)),
-    st.builds(lambda low, span: ("integers", (low, low + span)), st.integers(-5, 5), _SPANS),
     st.just(("random", ())),
     st.integers(0, 60).flatmap(
         lambda n: st.builds(lambda size: ("choice", (n, size, False)), st.integers(0, n))),
@@ -386,9 +385,12 @@ def test_joinable_matches_its_bincount_version(n, seed, alone):
     counts = np.bincount(labels)
     x = int(rng.integers(n))
     others = np.flatnonzero(rng.random(n) < rng.random())
-    row = np.array([x]) if alone else np.union1d(others, [x])  # ascending, holds x
-    kx = int(labels[x])
-    got, inside = solvers._joinable(labels, row, kx, counts)
+    # Ascending, holding x's cluster, as every row of a feasible clustering does.
+    mx = np.flatnonzero(labels == labels[x])
+    row = mx if alone else np.union1d(others, mx)
+    kx, mates, got, inside = solvers._joinable(labels, row, x, counts)
+    assert kx == labels[x] and type(kx) is int
+    assert mates == [p for p in mx.tolist() if p != x]
     assert inside == {k: row[labels[row] == k].tolist() for k in set(labels[row].tolist())}
     assert got == _oracles._joinable(labels, row, x, counts).tolist()
     assert got == sorted(got) and kx not in got
@@ -586,7 +588,7 @@ def test_run_greedy_matches_reference_loop(budget, every, seed):
 def _greedy_run_recorded(n, budget, hours, seed, freeze=False):
     """Run greedy on dense points; return its rounds and the scored arrays, as scored.
 
-    A round is (x, targets, inside, stay, joins, committed); stay and each join
+    A round is (x, row, targets, stay, joins, committed); stay and each join
     are the (labels, labels copy, rows, rows copy, f, values) of one
     ``fitness_parts`` call. The stay's rows are the round's parent rows (made
     read-only when ``freeze``); committed is the call the round commits.
@@ -596,14 +598,13 @@ def _greedy_run_recorded(n, budget, hours, seed, freeze=False):
     traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours), day_index=d)
                for d in range(2)]
     problem = model.ProblemConfig(w=0.01, tau=2.0, H=hours)
-    nbrs, events, rounds = [], [], []  # events: rounds (lists) and calls
-    within, joinable, parts = solvers.within_tau, solvers._joinable, solvers.fitness_parts
+    events, rounds = [], []  # events: rounds (lists) and calls
+    joinable, parts = solvers._joinable, solvers.fitness_parts
 
-    def recording_joinable(labels, row, kx, counts):
-        targets, inside = joinable(labels, row, kx, counts)
-        x = next(i for i, r in enumerate(nbrs[0]) if r is row)
-        events.append([x, targets, inside])
-        return targets, inside
+    def recording_joinable(labels, row, x, counts):
+        found = joinable(labels, row, x, counts)
+        events.append([x, row, found[2]])
+        return found
 
     def recording_parts(labels, values, w, dev=None):
         if freeze and events and type(events[-1]) is list:
@@ -615,7 +616,6 @@ def _greedy_run_recorded(n, budget, hours, seed, freeze=False):
         return f
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "within_tau", lambda *a: nbrs.append(within(*a)) or nbrs[0])
         mp.setattr(solvers, "_joinable", recording_joinable)
         mp.setattr(solvers, "fitness_parts", recording_parts)
         results = solvers.run_greedy(ps, traffic, budget, problem,
@@ -651,27 +651,30 @@ _CASES = {
 @example(8, 12, 1, 0, {"after x, best between"})
 @example(10, 20, 2, 0, {"after x, best last"})
 def test_greedy_scores_every_join_exactly(n, budget, hours, seed, cases):
-    # Every join greedy scores has, bit for bit, the labels and rows _regroup
-    # builds for it from the round's committed state, however its rows were
-    # made; and every committed state has the rows a full sum gives.
+    # Greedy's targets are the frozen _joinable's, and every join it scores has,
+    # bit for bit, the labels of the frozen _move from the round's committed
+    # state and the rows a full sum gives, however its rows were made; every
+    # committed state has those rows too.
     rounds, results = _greedy_run_recorded(n, budget, hours, seed)
     seen = set()
-    for x, targets, inside, stay, joins, committed in rounds:
-        labels, dev, values = stay[1], stay[3], stay[5]
+    for x, row, targets, stay, joins, committed in rounds:
+        labels, values = stay[1], stay[5]
+        assert targets == _oracles._joinable(labels, row, x, np.bincount(labels)).tolist()
         assert len(joins) <= len(targets)
         if len(joins) < len(targets):
             seen.add("budget cut")
         for t, (_, got_labels, _, got_rows, _, _) in zip(targets, joins):
-            want_labels, want_rows = solvers._regroup(labels, dev, values,
-                                                      *solvers._join(labels, x, t, inside))
+            want_labels = _oracles._move(labels, x, t)
+            want_rows = _rows(want_labels, values)
             assert got_labels.dtype == want_labels.dtype
             assert got_labels.tobytes() == want_labels.tobytes()
             assert got_rows.shape == want_rows.shape
             assert got_rows.tobytes() == want_rows.tobytes()
         if joins:
-            mx, mts = inside[int(labels[x])], [inside[t] for t in targets[:len(joins)]]
+            members = {k: np.flatnonzero(labels == k).tolist() for k in [labels[x], *targets]}
+            mx, mts = members[int(labels[x])], [members[t] for t in targets[:len(joins)]]
             seen |= {name for name, hit in _CASES.items() if hit(x, mx, mts)}
-            after = [j[4] for t, j in zip(targets, joins) if inside[t][0] > x]
+            after = [j[4] for t, j in zip(targets, joins) if members[t][0] > x]
             if len(after) >= 3:
                 i = after.index(min(after))
                 seen.add("after x, best " + ("last" if i == len(after) - 1 else
@@ -705,12 +708,10 @@ def test_greedy_writes_no_audited_labels_and_no_parent_rows(seed):
 
 
 def _assert_move_dev_exact(labels, values, x, k):
-    """Move x of first-appearance ``labels`` to cluster k as greedy builds it; check it."""
+    """Move x of first-appearance ``labels`` to cluster k through ``_regroup``; check it."""
     dev = _rows(labels, values)
     parent, parent_dev = labels.copy(), dev.copy()
-    # A row holding every point holds every cluster.
-    inside = solvers._joinable(labels, np.arange(labels.size), labels[x], np.bincount(labels))[1]
-    new, groups = solvers._join(labels, x, k, inside)
+    new, groups = _regrouping(labels, [x], k)
     cand, got, order = _build(labels, values, new, groups, dev)
     # The builder writes into neither the parent's labels nor its rows.
     assert labels.tolist() == parent.tolist() and dev.tobytes() == parent_dev.tobytes()
@@ -983,20 +984,19 @@ _EXAMPLE = np.array([1, 2, 1, 3, 2, 4, 3, 1, 4, 2, 5, 6])
 @pytest.mark.parametrize("hours", [1, 3])
 def test_regroup_join_example(hours):
     values = _zeros_and_repeats(np.random.default_rng(7), _EXAMPLE.size, hours)
-    inside = solvers._joinable(_EXAMPLE, np.arange(_EXAMPLE.size), 0, np.bincount(_EXAMPLE))[1]
     # x = 1 is the first member of cluster 2 and becomes the first member of
     # cluster 3, so both first members move.
-    new, groups = solvers._join(_EXAMPLE, 1, 3, inside)
+    new, groups = _regrouping(_EXAMPLE, [1], 3)
     assert groups == [(2, [4, 9], 1), (3, [1, 3, 6], 3)]
     assert _assert_regroup_exact(_EXAMPLE, values, new, groups).tolist() == \
         [1, 2, 1, 2, 3, 4, 2, 1, 4, 3, 5, 6]
     # x = 10 is alone: its cluster empties and the later labels move down.
-    new, groups = solvers._join(_EXAMPLE, 10, 4, inside)
+    new, groups = _regrouping(_EXAMPLE, [10], 4)
     assert groups == [(5, [], 10), (4, [5, 8, 10], 5)]
     assert _assert_regroup_exact(_EXAMPLE, values, new, groups).tolist() == \
         [1, 2, 1, 3, 2, 4, 3, 1, 4, 2, 4, 5]
     # x = 7 is a later member and joins a cluster starting before it: no label moves.
-    new, groups = solvers._join(_EXAMPLE, 7, 2, inside)
+    new, groups = _regrouping(_EXAMPLE, [7], 2)
     child, _, _ = _build(_EXAMPLE, values, new, groups)
     assert child is new
     _assert_regroup_exact(_EXAMPLE, values, new, groups)
