@@ -307,6 +307,24 @@ def write_records(records: Sequence[RunRecord], path: str | Path) -> None:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
+# Whether a JSON value fits a record field, by the field's declared type (bool is no number).
+_FITS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "str": lambda v: type(v) is str,
+    "tuple[float, ...]": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    "tuple[DayRecord, ...]": lambda v: type(v) is list and len(v) > 0,
+}
+
+
+def _fitted(cls, doc):
+    """``doc``, once each field of ``cls`` it holds fits the field's type."""
+    for f in fields(cls):
+        if f.name in doc and not _FITS[f.type](doc[f.name]):
+            raise TypeError(f"{f.name} = {doc[f.name]!r} is not {f.type}")
+    return doc
+
+
 def read_records(path: str | Path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
@@ -314,9 +332,10 @@ def read_records(path: str | Path) -> list[RunRecord]:
             line = line.strip()
             if not line:
                 continue
-            try:  # not an object, or a field missing or unknown
-                doc = json.loads(line)
-                doc["days"] = tuple(DayRecord(**{**d, "trace": tuple(d["trace"])})
+            try:  # not an object, or a field missing, unknown or of another type
+                doc = _fitted(RunRecord, json.loads(line))
+                doc["days"] = tuple(DayRecord(**{**_fitted(DayRecord, d),
+                                                 "trace": tuple(d["trace"])})
                                     for d in doc["days"])
                 records.append(RunRecord(**doc))
             except (ValueError, TypeError, KeyError, AttributeError) as e:

@@ -10,6 +10,9 @@ import numpy as np
 
 from .model import Clustering, ProblemConfig, TrafficDay
 
+# 2**1074: ``exact`` values per unit.
+_UNITS = 1 << 1074
+
 
 @dataclass(frozen=True)
 class FitnessValue:
@@ -58,20 +61,33 @@ def cluster_sums(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(idx.ravel(), weights=values.ravel(), minlength=K * H).reshape(K, H)
 
 
-def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
-                  dev: np.ndarray | None = None) -> tuple[float, int, float]:
-    """Fast-path fitness on raw arrays: returns (f, K, mean utility).
+def exact(r: float) -> int:
+    """``r`` as an exact multiple of 2**-1074, the smallest positive double, of which
+    every finite double is a whole multiple."""
+    n, d = r.as_integer_ratio()
+    return n << 1075 - d.bit_length()
 
-    ``dev``, when given, must be ``|cluster_sums(labels, values) - 1|`` as a
-    C-contiguous (K, H) array; the kernel then only sums it, with the same
-    result bit for bit.
+
+def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
+                  total: tuple[int, int] | None = None) -> tuple[float, int, float]:
+    """Fitness on raw arrays: returns (f, K, mean utility).
+
+    ``f = w*K + [R]/(K*H)``: cluster k's ``r_k`` is ``np.add.reduce`` over its
+    H deviations ``|S_kh - 1|`` (S summed in point order, as ``cluster_sums``
+    adds), ``R = sum_k r_k`` exactly and ``[R]`` is R rounded once. So f is a
+    function of the set of clusters alone, not of label numbering or row order.
+    This dense reference rounds R with ``math.fsum``. ``total``, when given, is
+    ``(K, R)`` with R as ``exact`` gives it, kept by a solver move by move; then
+    the kernel only divides, with the same result bit for bit.
     """
-    if dev is None:
+    if total is None:
         dev = cluster_sums(labels, values)
         dev -= 1.0
         np.abs(dev, out=dev)
-    K, H = dev.shape
-    u_mean = float(np.add.reduce(dev, None) / (K * H))  # dev.sum(), less its Python wrapper
+        K, u_sum = dev.shape[0], math.fsum(np.add.reduce(dev, axis=1).tolist())
+    else:
+        K, u_sum = total[0], total[1] / _UNITS
+    u_mean = u_sum / (K * values.shape[1])
     return w * K + u_mean, K, u_mean
 
 
@@ -86,9 +102,9 @@ def metrics(clustering: Clustering, traffic: TrafficDay, config: ProblemConfig) 
             f"clustering has {clustering.n_points} points but traffic has {traffic.n_points}")
     if traffic.n_hours != config.H:
         raise ValueError(f"traffic has {traffic.n_hours} hours but config.H = {config.H}")
+    f, K, u = fitness_parts(clustering.labels, traffic.values, config.w)
     sums = cluster_sums(clustering.labels, traffic.values)
     dev = np.abs(sums - 1.0)
-    f, K, u = fitness_parts(clustering.labels, traffic.values, config.w, dev)
     over = sums > 1.0
     udelay = float(dev[over].sum() / dev.size)
     uunder = float(dev[~over].sum() / dev.size)

@@ -2,8 +2,10 @@
 
 All solution construction goes through pairwise feasibility repair, so every
 clustering these solvers ever hold satisfies the tau constraint by
-construction. Internally individuals are raw 1..K int label arrays; the
-public surface wraps them in :class:`~bbuclust.model.Clustering`.
+construction. Internally the labels need not be 1..K: each candidate is held
+with its clusters' deviation totals and scored from their exact sum (see
+``fitness_parts``). The audit hook and the public surface get 1..K labels, the
+latter wrapped in :class:`~bbuclust.model.Clustering`.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _integer, _real,
                     renumber, within_tau)
-from .objective import FitnessValue, cluster_sums, fitness_parts
+from .objective import FitnessValue, cluster_sums, exact, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
 
@@ -28,9 +30,10 @@ _BLOCK = 4096
 # array scored again (a carried-over population, greedy's "stay") is seen again.
 AuditHook = Callable[[np.ndarray], None]
 
-# Scores one label array on one day's (N, H) traffic, given the array's (K, H)
-# rows |cluster_sums - 1|, and returns its f (see ``fitness_parts``).
-Scorer = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+# Scores one label array on one day's (N, H) traffic, given its exact total
+# (K, R), or densely given None, and returns its f (see ``fitness_parts``); the
+# audit sees the last argument, when given, else the labels ``renumber``ed.
+Scorer = Callable[[np.ndarray, np.ndarray, tuple[int, int] | None, np.ndarray | None], float]
 
 # A solver's day-by-day search: given the tau neighbour lists, each day's
 # (N, H) traffic and the scorer, it yields per day the labels to deploy, the
@@ -153,94 +156,50 @@ def _repair(rows: Sequence[list[int]], r: int, close: Sequence[int], num: int,
     return kept
 
 
-def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: np.ndarray
+def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: Sequence[int]
               ) -> tuple[int, list[int], list[int], dict[int, list[int]]]:
     """x's cluster kx and x's cluster-mates (all in x's row ``row``, as kx is feasible), the
-    other clusters wholly within ``row``, ascending (counts = bincount(labels)), and the
-    points of ``row`` by label, each ascending."""
+    other clusters wholly within ``row``, by first point (counts[k]: cluster k's size), and
+    the points of ``row`` by label, each ascending, the labels by first point in ``row``."""
     inside: dict[int, list[int]] = {}
     for p, k in zip(row.tolist(), labels[row].tolist()):
         inside.setdefault(k, []).append(p)
     kx = int(labels[x])
     return (kx, [p for p in inside[kx] if p != x],
-            sorted(k for k, mem in inside.items() if k != kx and len(mem) == counts[k]), inside)
+            [k for k, mem in inside.items() if k != kx and len(mem) == counts[k]], inside)
 
 
-def _summed(values: np.ndarray, mem: list[int]) -> np.ndarray:
-    """The (1, H) row ``|S - 1|`` of members ``mem`` (ascending), S summed in point order."""
+def _summed(values: np.ndarray, mem: list[int]) -> float:
+    """``r`` of members ``mem`` (ascending): ``np.add.reduce`` over the H deviations
+    ``|S - 1|``, S summed in point order, as ``bincount`` adds but from the first member,
+    not 0.0, which only flips a zero sum's sign (lost in ``|S - 1|``)."""
     a = mem[0]
-    row = (values[a:a + 1] if len(mem) == 1 else values[a:a + 1] + values[mem[1]]
-           if len(mem) == 2 else np.add.accumulate(values.take(mem, axis=0), axis=0)[-1:]) - 1.0
-    return np.abs(row, out=row)
+    row = (values[a] if len(mem) == 1 else values[a] + values[mem[1]] if len(mem) == 2
+           else np.add.accumulate(values.take(mem, axis=0), axis=0)[-1]) - 1.0
+    return float(np.add.reduce(np.abs(row, out=row)))
 
 
-def _regroup(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, new: np.ndarray,
-             groups: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """``renumber(new)`` and its rows ``|cluster_sums - 1|``, built from the parent's.
-
-    ``labels`` (in first-appearance order, rows ``dev``) becomes ``new`` by
-    regrouping ``groups``: (label in ``new``, K + 1 if new; members, ascending;
-    first member in ``labels`` or -1). The other clusters keep their order, rows
-    copied and labels shifted in blocks. A cluster now starting at p follows the
-    ``labels[:p].max()`` clusters that started before p (r - 1 if cluster r keeps
-    its first member); its row is summed in point order, as ``bincount`` adds but
-    from the first member, not 0.0, which only flips a zero sum's sign (lost in |S - 1|).
-    """
-    K, n = dev.shape[0], labels.size
-    # (parent rows before it, tie break, parent rows consumed, label, members): each
-    # regrouped parent cluster drops its row, the last event copies the rows left.
-    events = [(r - 1, n, r, r, []) for r, _, _ in groups if r <= K] + [(K, n, K, 0, [])]
-    for r, mem, first in groups:
-        if mem:
-            m = r - 1 if mem[0] == first else int(labels[:mem[0]].max()) if mem[0] else 0
-            events.append((m, mem[0], m, r, mem))
-    pieces, blocks, placed, lo, size = [], [], [], 0, 0  # blocks: (row, end row, shift)
-    for start, _, end, r, mem in sorted(events):
-        if lo < start:
-            pieces.append(dev[lo:start])
-            blocks.append((lo, start, size - lo))
-            size += start - lo
-        lo = end
-        if mem:
-            pieces.append(_summed(values, mem))
-            size += 1
-            placed.append((r, size))
-    blocks = [(a, b, shift) for a, b, shift in blocks if shift]
-    if not blocks and all(r == lab for r, lab in placed):
-        return new, np.concatenate(pieces)
-    rank = np.arange(K + 2)
-    for a, b, shift in blocks:
-        rank[a + 1:b + 1] += shift
-    for r, lab in placed:
-        rank[r] = lab
-    return rank[new], np.concatenate(pieces)
+def _moved(values: np.ndarray, r: Sequence[float], total: tuple[int, int], gone: list[int],
+           made: list[list[int]]) -> tuple[list[float], tuple[int, int]]:
+    """The clusters ``gone`` (labels into ``r``) of a clustering with total (K, R) become
+    the clusters ``made`` (each its points, ascending): their ``r``, summed, and the new
+    total, R moved by each ``r``'s exact value, so in any order to the same R."""
+    K, R = total
+    rs = [_summed(values, mem) for mem in made]
+    return rs, (K + len(made) - len(gone),
+                R - sum(exact(r[k]) for k in gone) + sum(exact(rk) for rk in rs))
 
 
-def _remove(labels: np.ndarray, dev: np.ndarray, values: np.ndarray, x: int, rest: list[int]
-            ) -> tuple[np.ndarray, np.ndarray, int]:
-    """x out of its cluster kx (``rest``: kx's other points, ascending): the labels (x's 0) and
-    rows ``_regroup`` gives, built in closed form, and the number of clusters starting before x."""
-    kx, K = int(labels[x]), dev.shape[0]
-    if rest and rest[0] < x:  # kx keeps its first point, and its place
-        base, rows = labels.copy(), dev.copy()
-        base[x], rows[kx - 1] = 0, _summed(values, rest)
-        return base, rows, int(base[:x].max())
-    m = int(labels[:rest[0]].max()) if rest else K  # x led kx: the rest's label (none: K)
-    rank = np.arange(K + 1)  # kx becomes m, and kx + 1..m move down one
-    rank[kx], rank[kx + 1:m + 1] = m, np.arange(kx, m)
-    base = rank[labels]
-    base[x] = 0
-    summed = [_summed(values, rest)] if rest else []
-    return base, np.concatenate((dev[:kx - 1], dev[kx:m], *summed, dev[m:])), kx - 1
-
-
-def _move_row(rows: np.ndarray, i: int, j: int, row: np.ndarray) -> None:
-    """Move ``rows[i]`` to ``rows[j]`` in place, shifting the rows between by one, as ``row``."""
-    if i > j:
-        rows[j + 1:i + 1] = rows[j:i]
-    elif i < j:
-        rows[i:j] = rows[i + 1:j + 1]
-    rows[j] = row
+def _held(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``labels`` (1..K) as a solver holds them: each cluster labelled 1 + its first point,
+    the clusters' ``r`` by those labels (summed in full) and the total (K, R)."""
+    _, first = np.unique(labels, return_index=True)
+    dev = cluster_sums(labels, values)
+    dev -= 1.0
+    rk = np.add.reduce(np.abs(dev, out=dev), axis=1)
+    r = np.zeros(labels.size + 1)
+    r[first + 1] = rk
+    return (first + 1)[labels - 1], r, (first.size, sum(map(exact, rk.tolist())))
 
 
 def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.ndarray:
@@ -274,19 +233,25 @@ def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.n
 
 
 def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequence[list[int]],
-                   prob: float, rng: np.random.Generator, memo: list | None = None
-                   ) -> tuple[np.ndarray, list[tuple]]:
+                   prob: float, rng: np.random.Generator, memo: list | None = None,
+                   order: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, list[int], list[list[int]]]:
     """Move one point x (isolated points preferred) between feasible clusters.
 
-    Returns the child before renumbering (a new cluster is K + 1) and the
-    clusters it regroups for ``_regroup``: none for the unchanged copy, else
-    x's own, then the one x joins, or the one x pulls from and the new one.
-    ``memo`` is ``labels``' own cache, empty at first: this fills it with
-    ``bincount(labels)`` and, once drawn from, the singleton clusters' points.
+    ``labels`` label each cluster 1 + its first point, so label order is
+    first-point order. The draws take clusters in label order, or in the
+    label order of ``order`` when given: the same clusters numbered another
+    way (a seed individual's, as it grew). Returns the child, labelled the
+    same way, the parent's labels of the clusters it changes and the child's
+    changed clusters, each as its points ascending: ``labels`` itself and no
+    clusters for the unchanged copy, else x's own cluster, then the one x
+    joins, or the one x pulls from and the new one. ``memo`` is ``labels``'
+    own cache, empty at first: this fills it with ``bincount(labels)`` and,
+    once drawn from, the singleton clusters' points.
     """
     memo = [] if memo is None else memo
     if not memo:
-        memo.append(np.bincount(labels))  # its length, K + 1, is a new cluster's label
+        memo.append(np.bincount(labels))
     counts, iso = memo[0], ()
     if rng.random() < prob:
         if len(memo) == 1:
@@ -294,23 +259,31 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequenc
         iso = memo[1]
     x = int(iso[rng.integers(len(iso))] if len(iso) else rng.integers(labels.size))
     if len(rows[x]) == 1:  # no point within tau of x, which is alone: the unchanged copy
-        return labels.copy(), []
+        return labels, [], []
     kx, mates, joinable, inside = _joinable(labels, nbrs[x], x, counts)
-    new, rest = labels.copy(), (kx, mates, inside[kx][0])
+    rank = None if order is None else (lambda k: order[inside[k][0]])
+    if rank:
+        joinable.sort(key=rank)
+    made = [mates] if mates else []
     if joinable:
-        new[x] = k = joinable[rng.integers(len(joinable))]
-        return new, [rest, (k, sorted([*inside[k], x]), inside[k][0])]
+        k = joinable[rng.integers(len(joinable))]
+        gone = [kx, k]
+        made.append(sorted([*inside[k], x]))
     # Failing a join: the clusters with at least one member within tau of x.
-    if adjacent := sorted(k for k in inside if k != kx):
+    elif adjacent := sorted((k for k in inside if k != kx), key=rank):
         c = adjacent[rng.integers(len(adjacent))]
         num = 1 + int(rng.integers(len(inside[c])))
         pulled = _repair(rows, x, inside[c], num, rng)
-        new[[x, *pulled]] = counts.size
-        mc = np.flatnonzero(labels == c).tolist()  # c is not wholly within the row
-        return new, [rest, (c, [p for p in mc if p not in pulled], mc[0]),
-                     (counts.size, sorted([x, *pulled]), -1)]
-    new[x] = counts.size  # only its own cluster's points in reach: x is isolated
-    return new, [rest, (counts.size, [x], -1)]
+        gone = [kx, c]  # c is not wholly within the row, so some of it stays
+        made += [[p for p in np.flatnonzero(labels == c).tolist() if p not in pulled],
+                 sorted([x, *pulled])]
+    else:  # only its own cluster's points in reach: x is isolated
+        gone = [kx]
+        made.append([x])
+    child = labels.copy()
+    for mem in made:
+        child[mem] = mem[0] + 1
+    return child, gone, made
 
 
 def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -335,8 +308,8 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
     Checks the traffic against the point set and ``problem.H``, builds
     ``within_tau`` once, runs ``search`` over the days with the one scorer every
     candidate passes through (it calls ``audit`` first, when set) and
-    re-scores each day's deployed labels (an uncharged evaluation) into a
-    :class:`DayResult`.
+    re-scores each day's deployed labels with the dense ``fitness_parts`` (an
+    uncharged evaluation) into a :class:`DayResult`.
     """
     if len(traffic_by_day) == 0:
         raise ValueError("traffic_by_day is empty")
@@ -347,10 +320,11 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
             raise ValueError(f"traffic has {t.n_hours} hours but config.H = {problem.H}")
     values_by_day = [t.values for t in traffic_by_day]
 
-    def score(labels: np.ndarray, values: np.ndarray, dev: np.ndarray) -> float:
+    def score(labels: np.ndarray, values: np.ndarray, total: tuple[int, int] | None,
+              shown: np.ndarray | None = None) -> float:
         if audit is not None:
-            audit(labels)
-        return fitness_parts(labels, values, problem.w, dev)[0]
+            audit(renumber(labels) if shown is None else shown)
+        return fitness_parts(labels, values, problem.w, total)[0]
 
     days = search(within_tau(point_set, problem.tau), values_by_day, score)
     results: list[DayResult] = []
@@ -379,11 +353,15 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
 
-    Each individual is one entry, its f first, then its labels and rows
-    ``|cluster_sums - 1|``; an offspring's rows are built from its parent's
-    (``_regroup``), at most three summed again, except a seed individual's,
-    which is renumbered and summed in full. The unchanged copy shares its
-    parent's labels, rows and the bookkeeping ``_mutate_labels`` works out.
+    Each individual is one entry, its f first. It holds its labels as
+    ``_held`` gives them, each cluster's ``r`` and the exact total (K, R) (see
+    ``fitness_parts``). An offspring copies its parent's ``r``, sums its at
+    most three changed clusters again and moves R by their exact ``r``, so
+    its f equals the dense ``fitness_parts`` of its labels bit for bit. The
+    unchanged copy shares its parent's entry and the bookkeeping
+    ``_mutate_labels`` works out. Each day's population keeps its labels as
+    given, which the audit sees and its offspring's draws follow; an
+    offspring is audited and deployed ``renumber``ed.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -396,32 +374,30 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             elif config.variant == "split":
                 labels = [_split_labels(lab, rng) for lab in labels]
             rng = _Draws(np.random.default_rng(seeds[d + 1]))
-            # (f, labels, rows summed in full once a day, labels in first-appearance
-            # order, _mutate_labels' memo)
+            # (f, labels, r, (K, R), _mutate_labels' memo, the labels as given or None)
             pop = []
-            for lab in labels:
-                dev = np.abs(cluster_sums(lab, values) - 1.0)
-                pop.append((score(lab, values, dev), lab, dev,
-                            np.diff(np.maximum.accumulate(lab), prepend=0).max() <= 1, []))
+            for given in labels:
+                lab, r, total = _held(given, values)
+                pop.append((score(given, values, total, given), lab, r, total, [], given))
             pop.sort(key=itemgetter(0))
             trace = [pop[0][0]]
 
             for _ in range(config.maxgen):
                 offspring = []
-                for _, lab, dev, canon, memo in pop:
-                    new, groups = _mutate_labels(lab, nbrs, rows, config.prob, rng, memo)
-                    if not groups:  # the unchanged copy: its parent's entry, scored again
-                        offspring.append((score(lab, values, dev), lab, dev, canon, memo))
+                for entry in pop:
+                    _, lab, r, total, memo, given = entry
+                    child, gone, made = _mutate_labels(lab, nbrs, rows, config.prob, rng,
+                                                       memo, given)
+                    if not made:  # the unchanged copy: its parent's entry, scored again
+                        offspring.append((score(lab, values, total, given), *entry[1:]))
                         continue
-                    if canon:
-                        new, dev = _regroup(lab, dev, values, new, groups)
-                    else:  # a seed individual's child: renumbered and summed in full
-                        new = renumber(new)
-                        dev = np.abs(cluster_sums(new, values) - 1.0)
-                    offspring.append((score(new, values, dev), new, dev, True, []))
+                    rs, total = _moved(values, r, total, gone, made)
+                    r = r.copy()
+                    r[[mem[0] + 1 for mem in made]] = rs
+                    offspring.append((score(child, values, total), child, r, total, [], None))
                 pop = sorted(pop + offspring, key=itemgetter(0))[:config.popsize]
                 trace.append(pop[0][0])
-            labels = [lab for _, lab, *_ in pop]
+            labels = [renumber(lab) if given is None else given for _, lab, *_, given in pop]
             yield labels[0], trace, config.popsize * (config.maxgen + 1)
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)
@@ -436,21 +412,19 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     Each day restarts from the all-singleton clustering (its fitness is the
     uncharged first trace entry). Rounds pick a uniform random point and
     evaluate staying put plus every move into a cluster whose members all lie
-    within tau, charging one evaluation per candidate; the cheapest candidate
-    is committed, ties keeping the current placement. A round that would
-    exceed the budget is cut short mid-candidate-list.
+    within tau, taken by first point, charging one evaluation per candidate;
+    the cheapest candidate is committed, ties keeping the current placement.
+    A round that would exceed the budget is cut short mid-candidate-list.
 
     The trace records the committed fitness at every ``checkpoint_every``
     evaluations, so its length is budget // checkpoint_every + 1.
 
-    A round builds x's removal once from the committed labels and rows
-    ``|cluster_sums - 1|`` (``_remove``, x's remaining cluster summed again).
-    Each join gets its own labels, sums its target's row with x, writes it
-    into that removal's rows in place and is scored on them. A join into a
-    cluster before x is undone at once; one that moves ahead to x's place is
-    slid on by the next such join, and the last is undone after the round.
-    The best join is redone and committed with those rows. So every
-    candidate is scored on exact rows.
+    Each cluster keeps a label (x joining one takes its label) and its ``r``,
+    and the exact total (K, R) is kept (see ``fitness_parts``). A round sums
+    x's remaining cluster once and each join's target with x, moves R by
+    their exact ``r`` and tries the join on the labels in place, undoing it
+    after; the best is committed. So every candidate's f equals the dense
+    ``fitness_parts`` of its labels bit for bit, at O(H) per cluster summed.
     """
     budget = _integer("budget", budget, 1)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
@@ -459,59 +433,39 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     def search(nbrs, values_by_day, score):
         draws = _Draws(rng)
         for values in values_by_day:
-            labels = np.arange(1, n + 1, dtype=np.int64)
-            dev = np.abs(cluster_sums(labels, values) - 1.0)
-            cur_f = score(labels, values, dev)
+            labels, r, total = _held(np.arange(1, n + 1), values)
+            r, counts = r.tolist(), [0] + [1] * n  # counts[k]: cluster k's size
+            cur_f = score(labels, values, total)
             trace, evals = [cur_f], 0
             while evals < budget:
                 x = int(draws.integers(n))
-                _, mates, targets, inside = _joinable(labels, nbrs[x], x, np.bincount(labels))
+                kx, mates, targets, inside = _joinable(labels, nbrs[x], x, counts)
                 # The first candidate is "stay"; strict < keeps it on ties. A
                 # round that would pass the budget is cut short.
-                best_f, best = score(labels, values, dev), None
+                best_f, best = score(labels, values, total), None
                 targets = targets[:budget - evals - 1]
                 evals += 1 + len(targets)
-                if targets:  # x's removal, x labelled 0: every join's labels and rows
-                    base, rows, q = _remove(labels, dev, values, x, mates)
-                    after = None  # the last join after x: its row before the move, parent row
-                for t in targets:
-                    # x joins cluster b: it keeps its place, or starts at x, after the q.
-                    mt = inside[t]
-                    b = int(base[mt[0]])
-                    p = b - 1 if mt[0] < x else q
-                    if p < b - 1:  # b becomes p + 1, and p + 1..b - 1 move up one
-                        cand = np.arange(rows.shape[0] + 1)
-                        cand[b], cand[p + 1:b] = p + 1, np.arange(p + 2, b + 1)
-                        cand = cand[base]
-                    else:
-                        cand = base.copy()
-                    cand[x] = p + 1
-                    row = _summed(values, sorted([*mt, x]))
-                    if mt[0] < x:
-                        rows[p] = row
-                    else:  # slide the last join after x's shift on to b (b ascends)
-                        a, parent_row = after or (q - 1, row)
-                        rows[a + 2:b] = rows[a + 1:b - 1]
-                        rows[a + 1], rows[q] = parent_row, row
-                        after = (b - 1, dev[t - 1])
-                    f = score(cand, values, rows)
-                    if f < best_f:
-                        best_f, best = f, (cand, p, b, row)
-                    if mt[0] < x:
-                        rows[p] = dev[t - 1]
-                if targets and after:  # back to x's removal
-                    _move_row(rows, q, *after)
+                if targets:  # x's removal: kx without x, or no cluster
+                    rest, removed = _moved(values, r, total, [kx], [mates] if mates else [])
+                    for t in targets:
+                        rt, moved = _moved(values, r, removed, [t], [sorted([*inside[t], x])])
+                        labels[x] = t
+                        f = score(labels, values, moved)
+                        if f < best_f:
+                            best_f, best = f, (t, rt, moved)
+                    labels[x] = kx
 
                 # Checkpoints passed mid-round still see the previous commit; so
                 # len(trace) == 1 + evals // checkpoint_every after each round.
                 trace += [cur_f] * ((evals - 1) // checkpoint_every + 1 - len(trace))
                 if best is not None:  # a join beat "stay", whose f is cur_f: redo it
-                    labels, p, b, row = best
-                    _move_row(rows, b - 1, p, row)
-                    dev, cur_f = rows, best_f
+                    t, (r[t],), total = best
+                    labels[x], r[kx], cur_f = t, rest[0] if rest else 0.0, best_f
+                    counts[kx] -= 1
+                    counts[t] += 1
                 if evals % checkpoint_every == 0:
                     trace.append(cur_f)
             draws.sync()  # the day loop stops without resuming this after its last day
-            yield labels, trace, evals
+            yield renumber(labels), trace, evals
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)

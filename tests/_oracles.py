@@ -27,7 +27,6 @@ import numpy as np
 
 from bbuclust import solvers
 from bbuclust.model import PointSet, TrafficDay, build_distance_matrix, renumber
-from bbuclust.objective import cluster_sums
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
 
@@ -228,15 +227,11 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return renumber(new)
 
 
-def _rows(labels, values):
-    return np.abs(cluster_sums(labels, values) - 1.0)
-
-
 def reference_run_ea(point_set, traffic_by_day, config, problem):
     """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim
     except that it seeds, mutates and splits through the frozen operators above, so
-    drift in the live ones shows here too, and hands the scorer each array's rows
-    |cluster_sums - 1| computed from scratch.
+    drift in the live ones shows here too, and has the scorer score each array
+    densely, from its labels alone.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -252,7 +247,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
                     pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
             rng = np.random.default_rng(seeds[d + 1])
-            fits = np.array([score(lab, values, _rows(lab, values)) for lab in pop])
+            fits = np.array([score(lab, values, None) for lab in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
             pop = [pop[i] for i in order]
@@ -262,7 +257,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
             for _ in range(config.maxgen):
                 offspring = [_mutate_labels(lab, nbrs, config.prob, rng)[0]
                              for lab in pop]
-                off_fits = np.array([score(lab, values, _rows(lab, values)) for lab in offspring])
+                off_fits = np.array([score(lab, values, None) for lab in offspring])
                 evals += config.popsize
                 merged = pop + offspring
                 merged_fits = np.concatenate([fits, off_fits])
@@ -279,15 +274,14 @@ def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkp
     """The greedy loop ``solvers.run_greedy`` must reproduce, kept verbatim except
     that it draws from ``rng`` itself, the draws ``solvers._Draws`` replays, finds
     and moves into the joinable clusters through the frozen operators above and
-    hands the scorer each array's rows |cluster_sums - 1| computed from scratch.
+    has the scorer score each array densely, from its labels alone.
     """
     n = point_set.n_points
 
     def search(nbrs, values_by_day, score):
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
-            dev = _rows(labels, values)
-            cur_f = score(labels, values, dev)
+            cur_f = score(labels, values, None)
             trace = [cur_f]
             checkpoint = checkpoint_every
             evals = 0
@@ -296,25 +290,24 @@ def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkp
                 targets = _joinable(labels, nbrs[x], x, np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.
-                best_f = score(labels, values, dev)
-                best_labels, best_dev = labels, dev
+                best_f = score(labels, values, None)
+                best_labels = labels
                 evals += 1
                 for t_label in targets:
                     if evals >= budget:
                         break
                     cand = _move(labels, x, t_label)
-                    cand_dev = _rows(cand, values)
-                    f = score(cand, values, cand_dev)
+                    f = score(cand, values, None)
                     evals += 1
                     if f < best_f:
-                        best_f, best_labels, best_dev = f, cand, cand_dev
+                        best_f, best_labels = f, cand
 
                 # Checkpoints passed mid-round still see the previous commit.
                 while checkpoint < evals:
                     trace.append(cur_f)
                     checkpoint += checkpoint_every
                 if best_f < cur_f:
-                    labels, dev, cur_f = best_labels, best_dev, best_f
+                    labels, cur_f = best_labels, best_f
                 if checkpoint == evals:
                     trace.append(cur_f)
                     checkpoint += checkpoint_every

@@ -25,18 +25,18 @@ import pytest
 from bbuclust import datasets, harness, model, solvers
 
 DIGESTS = {
-    ("1a", "split"): "0f5f23482e52857cd447dce3d2ae4ed3ba9ca10c0c68468b6536d85a5cab3997",
-    ("1a", "copy"): "74e8ff38d878673b89b52243abd6d14c25757f7c5a1d6d2812de7429f6844383",
-    ("1a", "rand"): "9fe956325d60de8f5d148c914366325f4cf58b9c192cdc3cb264c7f12864f15e",
-    ("1a", "greedy"): "44358d0c5a3f5649ff4830d21a3d1d770b24b477cc20b75cf267d9dd21783aa6",
-    ("2b", "split"): "985bbe1c460a5eb2bc5bd663682f706ff4e0534a357e18edd6889f8f97d6a70d",
-    ("2b", "copy"): "89477db5a33567f8d6dcab89e925de65dcd3fb64c9df3d5844d4c107b768fd0d",
-    ("2b", "rand"): "b7d3faf65733509a738b50315c8c248fb4b4e25a2882ed10f940980520c1cef4",
+    ("1a", "split"): "700bf367aef66b3727787309fa1570e09cd550204bb62b2d5dd8cf5687b3d469",
+    ("1a", "copy"): "fe6525b4ac4c8f1af4437b08c7dd84010ac35342d719eadf7fefc40f6d2b1515",
+    ("1a", "rand"): "15f29ecf76a2737a2d0862241a126d44839beda6d7fbb71c41d33ee7d750382e",
+    ("1a", "greedy"): "c375419cd10e104f14c0459ea0f809a58c12e38fd7884d40f20e4e58347c51a9",
+    ("2b", "split"): "afec86742a2a8d6ba95fec97930ac18410126b9413a50d328bace7ba88d6f7b6",
+    ("2b", "copy"): "46f80d10969b3390a10b7c24733311a0ffd39e7e3fd59f3e1a4c3d4db8165c28",
+    ("2b", "rand"): "25a0e00fc717ed99e21927d9f22aea8b23df7a5b3eff12c50fc6044832df3960",
     ("2b", "greedy"): "2f2880eb2d23aea13d895334372a33d60f2d6fea0f4bd3b35bcd4643f1c786f9",
-    ("milan-hav", "split"): "eac04cae221086acd644adb300f29867f3a845e3fc93d7c0c9e5de13225f4027",
-    ("milan-hav", "copy"): "8ac6ed83a4a54d22008537b012ee98b8cff2209195ed2b0d752af45586b3c135",
-    ("milan-hav", "rand"): "d01de661d3c2d30f9915c730da5988bcb035aae43351e6ce64bf8c206ec82795",
-    ("milan-hav", "greedy"): "24fd5fc66c9cfad0fb40534f73f63e1385e60da6f3d503c70481c84c7bd10172",
+    ("milan-hav", "split"): "778ec26c4ecb209c21fba54bafcf31e9a48e1ba4f57fb90cf1a68c22a06de13b",
+    ("milan-hav", "copy"): "505efcf98eb150795ccedc20f2c4ebfec1c368f4038e63990675048dcf83e20d",
+    ("milan-hav", "rand"): "d1e012569990b1dfff9205a987fa5b2f08c2dc3474ec5346bfd180351a7804dd",
+    ("milan-hav", "greedy"): "58066dbe84e8f0f8287402905b17fd52f7df7e6b6c670b5d2ed15ccceec2909d",
 }
 
 LABEL_DIGESTS = {
@@ -44,9 +44,9 @@ LABEL_DIGESTS = {
     ("1a", "copy"): "23a55883ebcd61126a499b1d6cea8f08dcf3ab3df17e7472207f0ac35419ecbb",
     ("1a", "rand"): "39515fe231b64b1815d13053a0b0eead65950247b989e41d0d1599f36d1492d0",
     ("1a", "greedy"): "68478fc5dd259c8ff77b32d5bf868eb8acf36dad89b00f3802447995030fd650",
-    ("2b", "split"): "4561f9d022f3e8c9b4b9dfc6a81e9188349daa733e5b1a25f15743c6da18d3c4",
-    ("2b", "copy"): "7e14c39885ecc80b65056b06d1f584bac7d84d722f60c8de59da42ab32c6af78",
-    ("2b", "rand"): "17397bc5685db91e572c4b25ba975222c87df7f74277931d62c5176da664d6fa",
+    ("2b", "split"): "146d8a0fc5fe286d49d6c5e0af868029f1da1519d5316ae019285e81ae24e72f",
+    ("2b", "copy"): "126ec48f5d5cfbfcf0cf913770ae2085d81b137faab7706791f132b97e9d6367",
+    ("2b", "rand"): "f00059c882d5e8d6243ef3865844b73f90e53d07750620ab8f46018cacadab3d",
     ("2b", "greedy"): "87afa61d78091631dfd07fa7b04fe66bae95c210e5d38a2fa5940324d811e1cd",
     ("milan-hav", "split"): "d6d04d5ed3f6f5959e5b8886129ce998821d53453342d4aaea723d2845f90d5f",
     ("milan-hav", "copy"): "965c528542bc46e5a15ef544954712e4b471687cda4f62b6072a8f3f9746d03d",
@@ -65,8 +65,8 @@ GREEDY_RNG_STATE = {
     "uinteger": 2773191265,
 }
 GREEDY_OTHER_DIGESTS = {
-    "MT19937": "92a7555bae0e682b4aabad13c907e148fa567e10a88f357c9d3fe9656a28df93",
-    "Philox": "8c589a2d158389524516b4f920aa3aaeb1dde6319724ce1b92b7fbd78c62a7a4",
+    "MT19937": "521b026a7eb1e102bfae92d63180ddab91b1838ec117d6b3b637745e6cf680de",
+    "Philox": "410603f176392613dca852d7e132eede0804c0a53386a06ede0985a19c6d75f8",
 }
 
 

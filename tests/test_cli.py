@@ -198,7 +198,18 @@ def records_lines(ds_dir, tmp_path_factory):
     (lambda r: {**r, "extra": 1}, "'extra'"),
     (lambda r: [r], "list indices"),
     ("{", "JSONDecodeError"),
-], ids=["no-days", "no-trace", "unknown-field", "not-an-object", "not-json"])
+    (lambda r: {**r, "days": [{**r["days"][0], "f": "abc"}]}, "f = 'abc' is not float"),
+    (lambda r: {**r, "days": [{**r["days"][0], "U": True}]}, "U = True is not float"),
+    (lambda r: {**r, "days": [{**r["days"][0], "K": 2.0}]}, "K = 2.0 is not int"),
+    (lambda r: {**r, "run": False}, "run = False is not int"),
+    (lambda r: {**r, "algorithm": 3}, "algorithm = 3 is not str"),
+    (lambda r: {**r, "days": [{**r["days"][0], "trace": [1.0, "x"]}]}, "trace = [1.0, 'x']"),
+    (lambda r: {**r, "days": [{**r["days"][0], "trace": 1.0}]}, "trace = 1.0 is not tuple"),
+    (lambda r: {**r, "days": []}, "days = [] is not tuple"),
+    (lambda r: {**r, "days": [1]}, "'int' is not iterable"),
+], ids=["no-days", "no-trace", "unknown-field", "not-an-object", "not-json", "text-real",
+        "bool-real", "real-int", "bool-int", "int-str", "trace-text", "trace-number",
+        "no-day", "day-number"])
 def test_compare_rejects_malformed_records(records_lines, tmp_path, capsys, edit, named):
     # The second line is bad: the error names the file, the line and the field.
     path, lines = tmp_path / "records.ndjson", list(records_lines)

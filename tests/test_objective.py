@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,31 +40,55 @@ def test_fitness_matches_pure_oracle(rng):
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=24),
        st.floats(min_value=0.001, max_value=1.0), st.data())
 def test_fitness_parts_bit_exact(n, h, w, data):
+    # u is the exactly rounded sum of the per-cluster row sums over K*H, and f
+    # depends on the clusters alone: permuting the labels, which reorders the
+    # rows, keeps every bit, and so does an exact total summed in reverse.
+    # Zeros of both signs and repeated values are drawn too.
     raw = data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=n, max_size=n))
-    flat = data.draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n * h,
+    flat = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0]) |
+                              st.floats(min_value=0.0, max_value=2.0), min_size=n * h,
                               max_size=n * h))
     labels = model.renumber(np.array(raw))
     values = np.array(flat).reshape(n, h)
-    sums = objective.cluster_sums(labels, values)
-    K, H = sums.shape
-    u = float(np.abs(sums - 1.0).sum() / (K * H))
+    dev = np.abs(objective.cluster_sums(labels, values) - 1.0)
+    K, H = dev.shape
+    u = math.fsum(np.add.reduce(row) for row in dev) / (K * H)
     assert objective.fitness_parts(labels, values, w) == (w * K + u, K, u)
+    perm = np.array(data.draw(st.permutations(range(1, K + 1))))
+    assert objective.fitness_parts(perm[labels - 1], values, w) == (w * K + u, K, u)
+    total = (K, sum(objective.exact(float(np.add.reduce(row))) for row in dev[::-1]))
+    assert objective.fitness_parts(labels, values, w, total) == (w * K + u, K, u)
 
 
 @pytest.mark.parametrize("kh", [1, 7, 8, 9, 127, 128, 129, 1680, 43200])
 def test_fitness_parts_sums_rows_as_ndarray_sum(kh):
-    # Sizes around numpy's pairwise-summation blocks (8 and 128 items), with
-    # rows of all zeros among them; w = 0 leaves f = u_mean.
+    # Rows around numpy's pairwise-summation blocks (8 and 128 items), with
+    # rows of all zeros among them: each row's deviations are summed as an
+    # ndarray sums them, and those sums exactly; w = 0 leaves f = u_mean.
     rng = np.random.default_rng(kh)
     for K in sorted({1, *(k for k in (2, 3, 24, 120) if kh % k == 0), kh}):
-        dev = rng.random((K, kh // K)) * rng.choice([1e-3, 1.0, 1e3], size=(K, 1))
-        dev[rng.random(K) < 0.3] = 0.0
-        labels = np.arange(1, K + 1)
+        H = kh // K
+        values = rng.random((2 * K, H)) * rng.choice([1e-3, 1.0, 1e3], size=(2 * K, 1))
+        values[rng.random(2 * K) < 0.3] = 0.5  # rows of two halves: deviations of zero
+        labels = np.repeat(np.arange(1, K + 1), 2)
+        dev = np.abs(objective.cluster_sums(labels, values) - 1.0)
+        sums = [float(row.sum()) for row in dev]
+        want = math.fsum(sums) / (K * H)
         for w in (0.0, 0.01):
-            want = float(dev.sum() / dev.size)
-            assert objective.fitness_parts(labels, None, w, dev) == (w * K + want, K, want)
-    zeros = np.zeros((1, kh))
-    assert objective.fitness_parts(np.ones(1, dtype=np.int64), None, 0.01, zeros) == (0.01, 1, 0.0)
+            assert objective.fitness_parts(labels, values, w) == (w * K + want, K, want)
+            total = (K, sum(map(objective.exact, sums)))
+            assert objective.fitness_parts(labels, values, w, total) == (w * K + want, K, want)
+    one = np.full((1, kh), 1.0)
+    assert objective.fitness_parts(np.ones(1, dtype=np.int64), one, 0.01) == (0.01, 1, 0.0)
+
+
+def test_exact_is_the_double_in_units_of_its_smallest():
+    for r in (0.0, 5e-324, 2.0 ** -1022, 0.1, 1.0, 3.75, 2.0 ** 1000, 1.7976931348623157e308):
+        assert objective.exact(r) == Fraction(r) * 2 ** 1074
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        rs = (rng.random(int(rng.integers(1, 50))) * 10.0 ** rng.integers(-20, 20)).tolist()
+        assert sum(map(objective.exact, rs)) / 2 ** 1074 == math.fsum(rs)
 
 
 def test_metrics_matches_pure_oracle(rng):
