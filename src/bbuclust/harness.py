@@ -307,20 +307,15 @@ def write_records(records: Sequence[RunRecord], path: str | Path) -> None:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
-# Whether a JSON value fits a record field, by the field's declared type (bool is no number).
-_FITS = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "str": lambda v: type(v) is str,
-    "tuple[float, ...]": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
-    "tuple[DayRecord, ...]": lambda v: type(v) is list and len(v) > 0,
-}
-
-
 def _fitted(cls, doc):
-    """``doc``, once each field of ``cls`` it holds fits the field's type."""
+    """``doc``, once each field of ``cls`` it holds has the field's type (bool is no number)."""
+    real = (int, float)
+    fits = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in real,
+            "str": lambda v: type(v) is str,
+            "tuple[float, ...]": lambda v: type(v) is list and all(type(x) in real for x in v),
+            "tuple[DayRecord, ...]": lambda v: type(v) is list and len(v) > 0}
     for f in fields(cls):
-        if f.name in doc and not _FITS[f.type](doc[f.name]):
+        if f.name in doc and not fits[f.type](doc[f.name]):
             raise TypeError(f"{f.name} = {doc[f.name]!r} is not {f.type}")
     return doc
 

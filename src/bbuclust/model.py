@@ -57,6 +57,9 @@ class TrafficDay:
             raise ValueError(f"traffic must be a 2-D (points, hours) array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("traffic contains non-finite entries")
+        with np.errstate(over="ignore"):  # every cluster's deviation total must be finite
+            if not np.isfinite(v.sum()):
+                raise ValueError("traffic is too large to sum")
         if (v < 0).any():
             raise ValueError("traffic entries must be >= 0")
         object.__setattr__(self, "values", v)

@@ -10,9 +10,6 @@ import numpy as np
 
 from .model import Clustering, ProblemConfig, TrafficDay
 
-# 2**1074: ``exact`` values per unit.
-_UNITS = 1 << 1074
-
 
 @dataclass(frozen=True)
 class FitnessValue:
@@ -72,13 +69,13 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
                   total: tuple[int, int] | None = None) -> tuple[float, int, float]:
     """Fitness on raw arrays: returns (f, K, mean utility).
 
-    ``f = w*K + [R]/(K*H)``: cluster k's ``r_k`` is ``np.add.reduce`` over its
-    H deviations ``|S_kh - 1|`` (S summed in point order, as ``cluster_sums``
-    adds), ``R = sum_k r_k`` exactly and ``[R]`` is R rounded once. So f is a
-    function of the set of clusters alone, not of label numbering or row order.
-    This dense reference rounds R with ``math.fsum``. ``total``, when given, is
-    ``(K, R)`` with R as ``exact`` gives it, kept by a solver move by move; then
-    the kernel only divides, with the same result bit for bit.
+    ``f = w*K + [R]/(K*H)``. Cluster k's ``r_k`` is ``np.add.reduce`` of its H
+    deviations ``|S_kh - 1|`` (S summed in point order, as ``cluster_sums``
+    adds); ``R = sum_k r_k`` exactly, and ``[R]`` is R rounded once. So f
+    depends on the set of clusters alone, not on label numbering or row
+    order. This dense reference rounds with ``math.fsum``; given a solver's
+    exact ``total`` (K, R), R in ``exact``'s units, it only divides, to the
+    same bits.
     """
     if total is None:
         dev = cluster_sums(labels, values)
@@ -86,7 +83,7 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
         np.abs(dev, out=dev)
         K, u_sum = dev.shape[0], math.fsum(np.add.reduce(dev, axis=1).tolist())
     else:
-        K, u_sum = total[0], total[1] / _UNITS
+        K, u_sum = total[0], total[1] / (1 << 1074)
     u_mean = u_sum / (K * values.shape[1])
     return w * K + u_mean, K, u_mean
 

@@ -30,9 +30,9 @@ _BLOCK = 4096
 # array scored again (a carried-over population, greedy's "stay") is seen again.
 AuditHook = Callable[[np.ndarray], None]
 
-# Scores one label array on one day's (N, H) traffic, given its exact total
-# (K, R), or densely given None, and returns its f (see ``fitness_parts``); the
-# audit sees the last argument, when given, else the labels ``renumber``ed.
+# Scores labels on one day's (N, H) traffic from their exact total (K, R), or densely
+# given None (see ``fitness_parts``); the audit sees the last argument, else the labels
+# ``renumber``ed.
 Scorer = Callable[[np.ndarray, np.ndarray, tuple[int, int] | None, np.ndarray | None], float]
 
 # A solver's day-by-day search: given the tau neighbour lists, each day's
@@ -158,9 +158,8 @@ def _repair(rows: Sequence[list[int]], r: int, close: Sequence[int], num: int,
 
 def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: Sequence[int]
               ) -> tuple[int, list[int], list[int], dict[int, list[int]]]:
-    """x's cluster kx and x's cluster-mates (all in x's row ``row``, as kx is feasible), the
-    other clusters wholly within ``row``, by first point (counts[k]: cluster k's size), and
-    the points of ``row`` by label, each ascending, the labels by first point in ``row``."""
+    """x's cluster kx, x's cluster-mates (all in x's row ``row``: kx is feasible), the other
+    clusters wholly within ``row`` by first point (counts[k]: k's size), ``row`` by label."""
     inside: dict[int, list[int]] = {}
     for p, k in zip(row.tolist(), labels[row].tolist()):
         inside.setdefault(k, []).append(p)
@@ -170,9 +169,8 @@ def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: Sequence[int]
 
 
 def _summed(values: np.ndarray, mem: list[int]) -> float:
-    """``r`` of members ``mem`` (ascending): ``np.add.reduce`` over the H deviations
-    ``|S - 1|``, S summed in point order, as ``bincount`` adds but from the first member,
-    not 0.0, which only flips a zero sum's sign (lost in ``|S - 1|``)."""
+    """``r`` of the points ``mem`` (ascending): ``np.add.reduce`` of ``|S - 1|``, S summed in
+    point order as ``bincount`` adds (from ``mem[0]``, not 0.0: a zero's sign is lost in abs)."""
     a = mem[0]
     row = (values[a] if len(mem) == 1 else values[a] + values[mem[1]] if len(mem) == 2
            else np.add.accumulate(values.take(mem, axis=0), axis=0)[-1]) - 1.0
@@ -181,17 +179,19 @@ def _summed(values: np.ndarray, mem: list[int]) -> float:
 
 def _moved(values: np.ndarray, r: Sequence[float], total: tuple[int, int], gone: list[int],
            made: list[list[int]]) -> tuple[list[float], tuple[int, int]]:
-    """The clusters ``gone`` (labels into ``r``) of a clustering with total (K, R) become
-    the clusters ``made`` (each its points, ascending): their ``r``, summed, and the new
-    total, R moved by each ``r``'s exact value, so in any order to the same R."""
+    """Clusters ``gone`` (labels into ``r``) of a clustering with total (K, R) become ``made``
+    (each its points, ascending): their ``r`` and the new total, R moved by exact values."""
     K, R = total
     rs = [_summed(values, mem) for mem in made]
-    return rs, (K + len(made) - len(gone),
-                R - sum(exact(r[k]) for k in gone) + sum(exact(rk) for rk in rs))
+    for k in gone:
+        R -= exact(r[k])
+    for rk in rs:
+        R += exact(rk)
+    return rs, (K + len(made) - len(gone), R)
 
 
 def _held(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """``labels`` (1..K) as a solver holds them: each cluster labelled 1 + its first point,
+    """``labels`` (1..K) with each cluster labelled 1 + its first point, as solvers hold them,
     the clusters' ``r`` by those labels (summed in full) and the total (K, R)."""
     _, first = np.unique(labels, return_index=True)
     dev = cluster_sums(labels, values)
@@ -238,16 +238,14 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequenc
                    ) -> tuple[np.ndarray, list[int], list[list[int]]]:
     """Move one point x (isolated points preferred) between feasible clusters.
 
-    ``labels`` label each cluster 1 + its first point, so label order is
-    first-point order. The draws take clusters in label order, or in the
-    label order of ``order`` when given: the same clusters numbered another
-    way (a seed individual's, as it grew). Returns the child, labelled the
-    same way, the parent's labels of the clusters it changes and the child's
-    changed clusters, each as its points ascending: ``labels`` itself and no
-    clusters for the unchanged copy, else x's own cluster, then the one x
-    joins, or the one x pulls from and the new one. ``memo`` is ``labels``'
-    own cache, empty at first: this fills it with ``bincount(labels)`` and,
-    once drawn from, the singleton clusters' points.
+    ``labels`` label each cluster 1 + its first point (``_held``); the draws
+    take clusters in label order, or in that of ``order``, the same clusters
+    numbered another way (a seed individual's, as it grew). Returns the
+    child, labelled alike, the parent labels of the clusters it changes (x's,
+    then the one x joins or pulls from) and the child's new clusters, each
+    its points ascending; the unchanged copy is ``labels``, changing none.
+    ``memo`` is ``labels``' own cache, empty at first: this fills it with
+    ``bincount(labels)`` and, once drawn from, the singleton clusters' points.
     """
     memo = [] if memo is None else memo
     if not memo:
@@ -262,8 +260,7 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequenc
         return labels, [], []
     kx, mates, joinable, inside = _joinable(labels, nbrs[x], x, counts)
     rank = None if order is None else (lambda k: order[inside[k][0]])
-    if rank:
-        joinable.sort(key=rank)
+    joinable.sort(key=rank)
     made = [mates] if mates else []
     if joinable:
         k = joinable[rng.integers(len(joinable))]
@@ -353,15 +350,13 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
 
-    Each individual is one entry, its f first. It holds its labels as
-    ``_held`` gives them, each cluster's ``r`` and the exact total (K, R) (see
-    ``fitness_parts``). An offspring copies its parent's ``r``, sums its at
-    most three changed clusters again and moves R by their exact ``r``, so
-    its f equals the dense ``fitness_parts`` of its labels bit for bit. The
-    unchanged copy shares its parent's entry and the bookkeeping
-    ``_mutate_labels`` works out. Each day's population keeps its labels as
-    given, which the audit sees and its offspring's draws follow; an
-    offspring is audited and deployed ``renumber``ed.
+    An individual holds its labels as ``_held`` gives them, each cluster's
+    ``r`` and the exact total (K, R). An offspring copies its parent's ``r``
+    and scores its at most three new clusters (``_moved``), so its f equals
+    the dense ``fitness_parts`` of its labels exactly. The unchanged copy
+    shares its parent's entry and ``_mutate_labels``' memo. A day's own
+    population also keeps its labels as given, which the audit sees and its
+    offspring's draws follow; offspring are audited and deployed renumbered.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -378,7 +373,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             pop = []
             for given in labels:
                 lab, r, total = _held(given, values)
-                pop.append((score(given, values, total, given), lab, r, total, [], given))
+                pop.append((score(lab, values, total, given), lab, r, total, [], given))
             pop.sort(key=itemgetter(0))
             trace = [pop[0][0]]
 
@@ -419,12 +414,11 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     The trace records the committed fitness at every ``checkpoint_every``
     evaluations, so its length is budget // checkpoint_every + 1.
 
-    Each cluster keeps a label (x joining one takes its label) and its ``r``,
-    and the exact total (K, R) is kept (see ``fitness_parts``). A round sums
-    x's remaining cluster once and each join's target with x, moves R by
-    their exact ``r`` and tries the join on the labels in place, undoing it
-    after; the best is committed. So every candidate's f equals the dense
-    ``fitness_parts`` of its labels bit for bit, at O(H) per cluster summed.
+    Each cluster keeps a label (x joining one takes it) and its ``r``, beside
+    the exact total (K, R). A round scores x's removal once and each join from
+    it (``_moved``), tried on the labels in place and undone; the best is
+    committed. So a candidate costs O(H) per point of the clusters it changes,
+    and its f equals the dense ``fitness_parts`` of its labels exactly.
     """
     budget = _integer("budget", budget, 1)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)

@@ -59,6 +59,8 @@ def test_traffic_day_validation():
         model.TrafficDay(values=[[0.1, -0.2]])
     with pytest.raises(ValueError):
         model.TrafficDay(values=[[np.inf, 0.0]])
+    with pytest.raises(ValueError, match="too large to sum"):
+        model.TrafficDay(values=[[1e308, 0.0], [1e308, 0.0]])
     with pytest.raises(ValueError):
         model.TrafficDay(values=[0.1, 0.2])
 
