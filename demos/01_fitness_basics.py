@@ -14,7 +14,7 @@ from bbuclust import (Clustering, ProblemConfig, TrafficDay,
 points = build_distance_matrix([[0.0, 0.0], [1000.0, 0.0], [2000.0, 0.0]])
 traffic = TrafficDay(values=np.array([[0.8, 0.5, 0.3],
                                       [0.2, 0.7, 0.1],
-                                      [0.2, 0.6, 0.7]]), day_index=0)
+                                      [0.2, 0.6, 0.7]]))
 config = ProblemConfig(w=0.01, tau=1500.0, H=3)
 
 # put the first two points on one unit, the third on its own

@@ -17,7 +17,7 @@ print(render_micro_reference())
 # u = fbar^(-ln fbar) peaks when the mean aggregated traffic hits 1.0
 traffic = TrafficDay(values=np.array([[0.8, 0.5, 0.3],
                                       [0.2, 0.7, 0.1],
-                                      [0.2, 0.6, 0.7]]), day_index=0)
+                                      [0.2, 0.6, 0.7]]))
 score = legacy_score(range(3), traffic)
 print(f"legacy u = {score.u_legacy:.4f}, peak-hour entropy = {score.h_entropy:.4f}")
 print(f"m = u * H = {score.m_product:.4f}")

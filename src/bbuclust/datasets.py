@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import PointSet, TrafficDay, _integer, _real, build_distance_matrix
+from .model import Clustering, PointSet, TrafficDay, _integer, _real, build_distance_matrix
 
 # Each kind's size arguments and their defaults.
 SIZES = {
@@ -54,6 +54,12 @@ class DatasetManifest:
     generator_params: dict
     provenance: str = "generated"
     optimal_labels: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:  # the optimal labels, if any, are a clustering of the points
+        if self.optimal_labels is not None and (
+                Clustering(np.asarray(self.optimal_labels)).n_points != self.n_points):
+            raise ValueError(f"optimal_labels has {len(self.optimal_labels)} entries "
+                             f"for {self.n_points} points")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -148,8 +154,8 @@ def gen_locations_core_scatter(ng: int, nt: int, tau: float,
 def gen_traffic_random(n_points: int, n_days: int, hours: int,
                        rng: np.random.Generator) -> list[TrafficDay]:
     """Independent uniform(0, 1) loads for every (day, point, hour)."""
-    return [TrafficDay(values=rng.uniform(0.0, 1.0, size=(n_points, hours)), day_index=d)
-            for d in range(n_days)]
+    return [TrafficDay(values=rng.uniform(0.0, 1.0, size=(n_points, hours)))
+            for _ in range(n_days)]
 
 
 def gen_traffic_known_optimum(groups: list[list[int]], n_points: int, n_days: int,
@@ -162,7 +168,7 @@ def gen_traffic_known_optimum(groups: list[list[int]], n_points: int, n_days: in
     if sorted(i for g in groups for i in g) != list(range(n_points)):
         raise ValueError("groups must partition 0..n_points-1")
     days = []
-    for d in range(n_days):
+    for _ in range(n_days):
         v = np.zeros((n_points, hours))
         for g in groups:
             idx = np.asarray(g, dtype=np.int64)
@@ -175,7 +181,7 @@ def gen_traffic_known_optimum(groups: list[list[int]], n_points: int, n_days: in
                 partial = partial + row
             shares[-1, :] = 1.0 - partial
             v[idx, :] = shares
-        days.append(TrafficDay(values=v, day_index=d))
+        days.append(TrafficDay(values=v))
     return days
 
 
@@ -212,14 +218,14 @@ def gen_traffic_patterned(n_points: int, n_days: int, pattern: str,
     amp = rng.uniform(0.5, 1.0, size=n_points)
     hs = np.arange(hours, dtype=float)
     days = []
-    for d in range(n_days):
+    for _ in range(n_days):
         v = np.empty((n_points, hours))
         for i in range(n_points):
             xp, fp = _pattern_anchors(pattern, rng)
             template = np.interp(hs, xp, fp)
             noise = rng.uniform(0.95, 1.05, size=hours)
             v[i] = np.minimum(amp[i] * template * noise, 1.0)
-        days.append(TrafficDay(values=v, day_index=d))
+        days.append(TrafficDay(values=v))
     return days
 
 
@@ -292,18 +298,12 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
                          map(repr, pos[:, 1].tolist())))
     with open(out / "traffic.csv", "w", newline="") as fh:
         fh.write("day,hour,point_id,value\r\n")
-        for day in dataset.traffic:
-            fh.write(_traffic_text(day))
+        for d, day in enumerate(dataset.traffic):  # hour, then point, as csv.writer writes them
+            fh.write("".join([f"{d},{hour},{p},{v!r}\r\n"
+                              for hour, row in enumerate(day.values.T.tolist())
+                              for p, v in enumerate(row)]))
     (out / "manifest.json").write_text(dataset.manifest.to_json() + "\n")
     return out
-
-
-def _traffic_text(day: TrafficDay) -> str:
-    """One day's CSV rows (hour, then point; values as ``repr``) as ``csv.writer`` writes them."""
-    d = day.day_index
-    return "".join([f"{d},{hour},{p},{v!r}\r\n"
-                    for hour, row in enumerate(day.values.T.tolist())
-                    for p, v in enumerate(row)])
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
@@ -411,4 +411,4 @@ def _read_csvs(locations_path: Path, traffic_path: Path,
         day, hour, pid = np.argwhere(counts.reshape(n_days, n_hours, n) == 0)[0]
         raise ValueError(f"{traffic_path}: missing entry for day {day}, hour {hour}, point {pid}")
     values[day, pid, hour] = val
-    return point_set, [TrafficDay(values=values[d], day_index=d) for d in range(n_days)]
+    return point_set, [TrafficDay(values=v) for v in values]

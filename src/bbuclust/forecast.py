@@ -21,14 +21,14 @@ def persistence_predict(traffic_days: Sequence[TrafficDay], d: int) -> TrafficDa
     """Predict day d+1 as a copy of day d (tomorrow looks like today)."""
     if not (0 <= d < len(traffic_days)):
         raise ValueError(f"day {d} out of range 0..{len(traffic_days) - 1}")
-    return TrafficDay(values=traffic_days[d].values.copy(), day_index=d + 1)
+    return TrafficDay(values=traffic_days[d].values.copy())
 
 
 def oracle_predict(traffic_days: Sequence[TrafficDay], d: int) -> TrafficDay:
     """Predict day d+1 as its actual traffic (perfect-information baseline)."""
     if not (0 <= d < len(traffic_days) - 1):
         raise ValueError(f"oracle needs day {d + 1} to exist; have days 0..{len(traffic_days) - 1}")
-    return TrafficDay(values=traffic_days[d + 1].values.copy(), day_index=d + 1)
+    return TrafficDay(values=traffic_days[d + 1].values.copy())
 
 
 def forecast_error(predicted: TrafficDay, actual: TrafficDay) -> ForecastError:

@@ -72,15 +72,10 @@ def standard_algorithms(names: Sequence[str], popsize: int = AlgorithmSpec.popsi
 
 
 @dataclass(frozen=True)
-class DayRecord:
-    """Deployed-solution metrics for one served day of one run."""
+class DayRecord(MetricsReport):
+    """The deployed solution's metrics for one served day of one run, and how it was found."""
 
     day: int
-    K: int
-    U: float
-    Udelay: float
-    Uunder1: float
-    f: float
     opt_f: float  # best fitness on the traffic the solver optimized (forecast)
     evals_used: int
     trace: tuple[float, ...]
@@ -203,7 +198,7 @@ def _plan_days(traffic: Sequence[TrafficDay], forecaster: str,
     traffic so that every dataset yields at least one served day.
     """
     if len(traffic) == 1:
-        return [0], [TrafficDay(values=traffic[0].values.copy(), day_index=0)]
+        return [0], [TrafficDay(values=traffic[0].values.copy())]
     fc = make_forecaster(forecaster)
     served = list(range(1, len(traffic)))
     return served, [fc(traffic, s - 1) for s in served]
@@ -381,6 +376,8 @@ def sweep(spec: ExperimentSpec, param: str, values: Sequence[float],
     """
     if param not in SWEEPS:
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {tuple(SWEEPS)}")
+    if not values:
+        raise ValueError(f"no values of {param} to sweep")
     if param == "prob" and all(a.kind != "ea" for a in spec.algorithms):
         raise ValueError("prob is the EA's mutation probability, but no algorithm is an EA")
     specs = [(float(v), SWEEPS[param](spec, v)) for v in values]

@@ -49,7 +49,6 @@ class TrafficDay:
     """Traffic for one day: an (N, H) array of per-point, per-hour loads."""
 
     values: np.ndarray
-    day_index: int = 0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -89,8 +88,9 @@ class Clustering:
             raise ValueError("labels must be a non-empty 1-D array")
         if lab.min() < 1:
             raise ValueError("cluster labels start at 1")
-        k = int(lab.max())
-        counts = np.bincount(lab, minlength=k + 1)
+        k, n = int(lab.max()), lab.size
+        # Contiguous labels have K <= N; above N, one of 1..N+1 is missing: count only those.
+        counts = np.bincount(lab if k <= n else lab[lab <= n + 1], minlength=min(k, n + 1) + 1)
         if (counts[1:] == 0).any():
             missing = int(np.flatnonzero(counts[1:] == 0)[0]) + 1
             raise ValueError(f"labels are not contiguous: no point carries label {missing}")

@@ -101,7 +101,7 @@ def reference_read_csvs(locations_path: Path, traffic_path: Path,
     if not seen.all():
         day, hour, pid = np.argwhere(~seen)[0]
         raise ValueError(f"{traffic_path}: missing entry for day {day}, hour {hour}, point {pid}")
-    traffic = [TrafficDay(values=values[d], day_index=d) for d in range(n_days)]
+    traffic = [TrafficDay(values=v) for v in values]
     return point_set, traffic
 
 
@@ -118,11 +118,11 @@ def reference_save_dataset(dataset, out_dir) -> Path:
     with open(out / "traffic.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["day", "hour", "point_id", "value"])
-        for day in dataset.traffic:
+        for d, day in enumerate(dataset.traffic):
             v = day.values
             for h in range(v.shape[1]):
                 for p in range(v.shape[0]):
-                    wr.writerow([day.day_index, h, p, repr(float(v[p, h]))])
+                    wr.writerow([d, h, p, repr(float(v[p, h]))])
     (out / "manifest.json").write_text(dataset.manifest.to_json() + "\n")
     return out
 

@@ -126,7 +126,7 @@ def test_criterion_02_identities():
             hours = int(rng.choice([3, 24]))
             labels = model.renumber(rng.integers(1, n + 1, size=n))
             c = model.Clustering(labels=labels)
-            t = model.TrafficDay(values=rng.random((n, hours)) * 1.5, day_index=0)
+            t = model.TrafficDay(values=rng.random((n, hours)) * 1.5)
             p = model.ProblemConfig(w=float(rng.choice([0.01, 0.1, 1.0])),
                                     tau=1.0, H=hours)
             f, K, u_mean = objective.fitness_parts(c.labels, t.values, p.w)

@@ -172,7 +172,9 @@ def test_error_exits(ds_dir, tmp_path, capsys):
     (lambda m: {**m, "extra": 1}, "'extra'"),
     (lambda m: {k: v for k, v in m.items() if k != "seed"}, "'seed'"),
     (lambda m: [m], "'list'"),
-], ids=["unknown-field", "missing-field", "not-an-object"])
+    (lambda m: {**m, "optimal_labels": [1, 2]}, "optimal_labels has 2 entries for"),
+    (lambda m: {**m, "optimal_labels": [3] + [1] * (m["n_points"] - 1)}, "carries label 2"),
+], ids=["unknown-field", "missing-field", "not-an-object", "short-labels", "gapped-labels"])
 def test_run_rejects_malformed_manifest(ds_dir, tmp_path, capsys, edit, named):
     d = tmp_path / "bad"
     shutil.copytree(ds_dir, d)

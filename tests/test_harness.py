@@ -105,7 +105,7 @@ def test_resolve_tau_rejects_colocated_points():
 
 
 def test_plan_days_alignment(rng):
-    days = [model.TrafficDay(values=rng.random((2, 3)), day_index=d) for d in range(3)]
+    days = [model.TrafficDay(values=rng.random((2, 3))) for _ in range(3)]
     served, opt = harness._plan_days(days, "oracle")
     assert served == [1, 2]
     assert np.array_equal(opt[0].values, days[1].values)
@@ -247,9 +247,10 @@ def test_sweep_w_and_budget(small_ds):
     ("prob", [0.5, 1.5], "prob must be"),
     ("tau", [6.0, -1.0], "tau must be positive"),
     ("popsize", [], "sweep parameter"),
+    ("w", [], "^no values of w to sweep$"),
     # True is no value of any sweep parameter, though float(True) is 1.0.
     *((param, [True], "got True$") for param in harness.SWEEPS),
-], ids=["budget-13", "w-2", "prob-1.5", "tau-negative", "unknown-empty",
+], ids=["budget-13", "w-2", "prob-1.5", "tau-negative", "unknown-empty", "w-empty",
         *(f"{param}-True" for param in harness.SWEEPS)])
 def test_sweep_checks_every_value_before_running(small_ds, monkeypatch, param, values, match):
     calls, run = [], harness.run_experiment

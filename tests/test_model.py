@@ -53,8 +53,8 @@ def test_build_distance_matrix_errors():
 
 
 def test_traffic_day_validation():
-    t = model.TrafficDay(values=[[0.1, 0.2], [0.3, 0.4]], day_index=2)
-    assert t.n_points == 2 and t.n_hours == 2 and t.day_index == 2
+    t = model.TrafficDay(values=[[0.1, 0.2], [0.3, 0.4]])
+    assert t.n_points == 2 and t.n_hours == 2
     with pytest.raises(ValueError):
         model.TrafficDay(values=[[0.1, -0.2]])
     with pytest.raises(ValueError):
@@ -72,6 +72,10 @@ def test_clustering_validation():
         model.Clustering(labels=[0, 1])  # labels start at 1
     with pytest.raises(ValueError):
         model.Clustering(labels=[1, 3])  # gap: no cluster 2
+    # A gap is found before anything is allocated for the labels above N.
+    for labels, missing in (([1, 2**40], 2), ([1, 10**9, 2], 3), ([2**62, 2, 1], 3)):
+        with pytest.raises(ValueError, match=f"not contiguous: no point carries label {missing}$"):
+            model.Clustering(labels=np.array(labels))
     with pytest.raises(ValueError):
         model.Clustering(labels=[])
     # Labels that int64 would change are no labels; whole floats are.

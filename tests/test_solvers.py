@@ -445,8 +445,8 @@ def test_split_preserves_feasibility(rng):
 
 
 def _traffic_days(rng, n, days, hours=6):
-    return [model.TrafficDay(values=rng.random((n, hours)), day_index=d)
-            for d in range(days)]
+    return [model.TrafficDay(values=rng.random((n, hours)))
+            for _ in range(days)]
 
 
 def test_run_ea_invariants(rng):
@@ -629,8 +629,8 @@ def _greedy_run_recorded(n, budget, hours, seed):
     """
     rng = np.random.default_rng(seed)
     ps = _random_geometry(rng, n, box=3.0)
-    traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours), day_index=d)
-               for d in range(2)]
+    traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours))
+               for _ in range(2)]
     problem = model.ProblemConfig(w=0.01, tau=2.0, H=hours)
     events, rounds = [], []  # events: rounds (lists) and calls
     joinable, parts = solvers._joinable, solvers.fitness_parts
@@ -740,7 +740,7 @@ def _special_traffic(rng, n, h):
     return values
 
 
-def _regrouped(labels, values, new):
+def _moved_checked(labels, values, new):
     """Regroup ``labels`` (1..K) into ``new`` through ``_moved``, the clusters it
     changes found by brute force, and check the child against its full sums: the
     total, each new cluster's r and f bit for bit. Returns the child as run_ea
@@ -789,7 +789,7 @@ def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
         for x in {int(mem[0]), int(mem[min(1, mem.size - 1)]), int(mem[-1])}:
             for k in range(1, 6):
                 if k != kx:
-                    _regrouped(labels, values, _moving(labels, [x], k))
+                    _moved_checked(labels, values, _moving(labels, [x], k))
                     seen.add("empties" if mem.size == 1 else
                              "removes-first" if x == mem[0] else "removes-later")
                     if k < 5 and x < np.flatnonzero(labels == k)[0]:
@@ -800,7 +800,7 @@ def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 400), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
-def test_move_dev_matches_full_rows(n, hours, seed, grown):
+def test_moved_matches_full_sums_for_random_moves(n, hours, seed, grown):
     rng = np.random.default_rng(seed)
     if grown:
         # Clusterings grown by _initial_labels, as the EA's seeds are.
@@ -815,7 +815,7 @@ def test_move_dev_matches_full_rows(n, hours, seed, grown):
     for _ in range(4):
         x = int(rng.integers(n))
         others = np.setdiff1d(np.arange(1, labels.max() + 2), [labels[x]])
-        _regrouped(labels, values, _moving(labels, [x], int(rng.choice(others))))
+        _moved_checked(labels, values, _moving(labels, [x], int(rng.choice(others))))
 
 
 def _mutation_walk(rng, n, hours, box, split, prob, steps=8):
@@ -875,8 +875,8 @@ def test_child_dev_matches_full_rows_for_mutations(n, hours, seed, box, split, p
 def test_run_ea_matches_the_full_kernel_loop(n, days, hours, seed, variant):
     rng = np.random.default_rng(seed)
     ps = _random_geometry(rng, n, box=float(rng.uniform(1.0, 20.0)))
-    traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours), day_index=d)
-               for d in range(days)]
+    traffic = [model.TrafficDay(values=_special_traffic(rng, n, hours))
+               for _ in range(days)]
     problem = model.ProblemConfig(w=0.01, tau=3.0, H=hours)
     cfg = solvers.EaConfig(popsize=int(rng.integers(1, 7)), maxgen=int(rng.integers(0, 25)),
                            prob=float(rng.choice([0.0, 0.5, 1.0])), variant=variant,
@@ -993,13 +993,13 @@ def test_regroup_join_example(hours):
     assert solvers._held(_EXAMPLE, values)[0].tolist() == [1, 2, 1, 4, 2, 6, 4, 1, 6, 2, 11, 12]
     # x = 1 is the first member of cluster 2 and becomes the first member of
     # cluster 3, so both clusters take new labels and no other label moves.
-    child, _ = _regrouped(_EXAMPLE, values, _moving(_EXAMPLE, [1], 3))
+    child, _ = _moved_checked(_EXAMPLE, values, _moving(_EXAMPLE, [1], 3))
     assert child.tolist() == [1, 2, 1, 2, 5, 6, 2, 1, 6, 5, 11, 12]
     # x = 10 is alone: its cluster empties.
-    child, (K, _) = _regrouped(_EXAMPLE, values, _moving(_EXAMPLE, [10], 4))
+    child, (K, _) = _moved_checked(_EXAMPLE, values, _moving(_EXAMPLE, [10], 4))
     assert child.tolist() == [1, 2, 1, 4, 2, 6, 4, 1, 6, 2, 6, 12] and K == 5
     # x = 7 is a later member and joins a cluster starting before it: only x's label moves.
-    child, _ = _regrouped(_EXAMPLE, values, _moving(_EXAMPLE, [7], 2))
+    child, _ = _moved_checked(_EXAMPLE, values, _moving(_EXAMPLE, [7], 2))
     assert child.tolist() == [1, 2, 1, 4, 2, 6, 4, 2, 6, 2, 11, 12]
 
 
@@ -1007,10 +1007,10 @@ def test_regroup_join_example(hours):
 def test_regroup_isolate_example(hours):
     values = _zeros_and_repeats(np.random.default_rng(8), _EXAMPLE.size, hours)
     # x = 1, cluster 2's first member, starts a new cluster; cluster 2 now starts at 4.
-    child, (K, _) = _regrouped(_EXAMPLE, values, _moving(_EXAMPLE, [1], 7))
+    child, (K, _) = _moved_checked(_EXAMPLE, values, _moving(_EXAMPLE, [1], 7))
     assert child.tolist() == [1, 2, 1, 4, 5, 6, 4, 1, 6, 5, 11, 12] and K == 7
     # x = 9, cluster 2's last member, starts a new cluster after every other.
-    child, _ = _regrouped(_EXAMPLE, values, _moving(_EXAMPLE, [9], 7))
+    child, _ = _moved_checked(_EXAMPLE, values, _moving(_EXAMPLE, [9], 7))
     assert child.tolist() == [1, 2, 1, 4, 2, 6, 4, 1, 6, 10, 11, 12]
 
 
@@ -1033,7 +1033,7 @@ def test_regroup_pull_example(hours):
         assert (gone, made) == ([2, 1], [[2], [0, 1]])
         assert child.tolist() == [1, 1, 3, 4, 4, 6]
         _child(held, values, child, gone, made)
-        assert _regrouped(parent, values, np.array([1, 1, 2, 3, 3, 4]))[0].tolist() == \
+        assert _moved_checked(parent, values, np.array([1, 1, 2, 3, 3, 4]))[0].tolist() == \
             child.tolist()
         pulls += 1
     assert pulls > 0
@@ -1069,7 +1069,7 @@ def test_summed_is_the_sequential_sum(hours, size):
 @example(_EXAMPLE.tolist(), 10, 3, 2, "x alone")
 @example(_EXAMPLE.tolist(), 7, 1, 3, "x after its cluster's first")
 @example(_EXAMPLE.tolist(), 1, 3, 5, "x led kx")  # 2 = {1, 4, 9}
-def test_remove_matches_regroup(raw, x, hours, seed, case):
+def test_moved_in_two_steps_matches_one_step(raw, x, hours, seed, case):
     # Greedy scores a join as x's removal, then the join: in two steps, R
     # reaches the total of the one-step regrouping and of the full sums, bit
     # for bit, whatever order the changed clusters are taken in.
@@ -1086,7 +1086,7 @@ def test_remove_matches_regroup(raw, x, hours, seed, case):
             _, two = solvers._moved(values, r, removed, [k], [joined])
             _, one = solvers._moved(values, r, total, [k, kx], [joined, *([rest] if rest else [])])
             new = model.renumber(_moving(held, [x], k))
-            assert two == one == _regrouped(labels, values, new)[1]
+            assert two == one == _moved_checked(labels, values, new)[1]
     seen = {"x = 0"} if x == 0 else set()
     seen.add("x alone, kx = K" if not rest and labels[x] == labels.max() else "x alone"
              if not rest else "x after its cluster's first" if rest[0] < x else "x led kx")
@@ -1096,7 +1096,7 @@ def test_remove_matches_regroup(raw, x, hours, seed, case):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 120), st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.sampled_from(["join", "isolate", "pull"]))
-def test_regroup_matches_renumber_and_full_rows(n, hours, seed, kind):
+def test_moved_matches_renumber_and_full_sums(n, hours, seed, kind):
     # Any move of x, alone or not, first or not, into any cluster, a new one
     # included, or a pull of any members of another cluster, its first or
     # all of them included.
@@ -1114,7 +1114,7 @@ def test_regroup_matches_renumber_and_full_rows(n, hours, seed, kind):
         new = _moving(labels, [x, *pulled.tolist()], K + 1)
     else:
         new = _moving(labels, [x], K + 1)
-    _regrouped(labels, values, new)
+    _moved_checked(labels, values, new)
 
 
 def _scored(solver, ps, traffic, problem, seed):
@@ -1159,7 +1159,7 @@ def test_every_scored_f_is_the_dense_f_of_its_labels(solver, kind, seed):
             values = _special_traffic(rng, n, int(rng.integers(1, 5)) if not d else
                                       traffic[0].n_hours)
             values[rng.random(n) < 0.4] = 0.0
-            traffic.append(model.TrafficDay(values=values, day_index=d))
+            traffic.append(model.TrafficDay(values=values))
     problem = model.ProblemConfig(w=0.01, tau=harness.resolve_tau(ps) if kind == "2b" else 3.0,
                                   H=traffic[0].n_hours)
     assert _scored(solver, ps, traffic, problem, seed)
@@ -1183,8 +1183,8 @@ def test_scored_ties_are_exact_on_2b(solver):
 def test_audit_does_not_change_results(solver):
     rng = np.random.default_rng(12)
     ps = _random_geometry(rng, 30, box=5.0)
-    traffic = [model.TrafficDay(values=_special_traffic(rng, 30, 4), day_index=d)
-               for d in range(3)]
+    traffic = [model.TrafficDay(values=_special_traffic(rng, 30, 4))
+               for _ in range(3)]
     problem = model.ProblemConfig(w=0.01, tau=2.0, H=4)
 
     def solve(audit):
