@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Clustering, PointSet, TrafficDay, _integer, _real, build_distance_matrix
+from .model import (Clustering, PointSet, TrafficDay, _fitted, _integer, _real,
+                    build_distance_matrix)
 
 # Each kind's size arguments and their defaults.
 SIZES = {
@@ -66,9 +67,9 @@ class DatasetManifest:
 
     @staticmethod
     def from_json(text: str) -> "DatasetManifest":
-        d = json.loads(text)
+        d = _fitted(DatasetManifest, json.loads(text))
         if d.get("optimal_labels") is not None:
-            d["optimal_labels"] = tuple(int(v) for v in d["optimal_labels"])
+            d["optimal_labels"] = tuple(d["optimal_labels"])
         return DatasetManifest(**d)
 
 

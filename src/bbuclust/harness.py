@@ -19,7 +19,8 @@ import numpy as np
 
 from .datasets import Dataset
 from .forecast import make_forecaster
-from .model import PointSet, ProblemConfig, TrafficDay, _integer, _real, nearest_distances
+from .model import (PointSet, ProblemConfig, TrafficDay, _fitted, _integer, _real,
+                    nearest_distances)
 from .objective import MetricsReport, metrics
 from .solvers import EaConfig, run_ea, run_greedy
 from .stats import Q_ALPHA, friedman_nemenyi
@@ -300,19 +301,6 @@ def write_records(records: Sequence[RunRecord], path: str | Path) -> None:
     with open(p, "w") as fh:
         for r in records:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
-
-
-def _fitted(cls, doc):
-    """``doc``, once each field of ``cls`` it holds has the field's type (bool is no number)."""
-    real = (int, float)
-    fits = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in real,
-            "str": lambda v: type(v) is str,
-            "tuple[float, ...]": lambda v: type(v) is list and all(type(x) in real for x in v),
-            "tuple[DayRecord, ...]": lambda v: type(v) is list and len(v) > 0}
-    for f in fields(cls):
-        if f.name in doc and not fits[f.type](doc[f.name]):
-            raise TypeError(f"{f.name} = {doc[f.name]!r} is not {f.type}")
-    return doc
 
 
 def read_records(path: str | Path) -> list[RunRecord]:

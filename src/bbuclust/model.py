@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,21 @@ def _real(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def _fitted(cls, doc):
+    """``doc``, once each field of ``cls`` it holds has the field's type, as JSON gives it
+    (bool is no number; a tuple is a list)."""
+    real, ints = (int, float), lambda v: type(v) is list and all(type(x) is int for x in v)
+    fits = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in real,
+            "str": lambda v: type(v) is str, "dict": lambda v: type(v) is dict,
+            "tuple[int, ...] | None": lambda v: v is None or ints(v),
+            "tuple[float, ...]": lambda v: type(v) is list and all(type(x) in real for x in v),
+            "tuple[DayRecord, ...]": lambda v: type(v) is list and len(v) > 0}
+    for f in fields(cls):
+        if f.name in doc and not fits[f.type](doc[f.name]):
+            raise TypeError(f"{f.name} = {doc[f.name]!r} is not {f.type}")
+    return doc
 
 
 @dataclass(frozen=True)

@@ -178,15 +178,22 @@ def _summed(values: np.ndarray, mem: list[int]) -> float:
 
 
 def _moved(values: np.ndarray, r: Sequence[float], total: tuple[int, int], gone: list[int],
-           made: list[list[int]]) -> tuple[list[float], tuple[int, int]]:
+           made: list[list[int]], seen: dict[tuple[int, ...], tuple[float, int]]
+           ) -> tuple[list[float], tuple[int, int]]:
     """Clusters ``gone`` (labels into ``r``) of a clustering with total (K, R) become ``made``
-    (each its points, ascending): their ``r`` and the new total, R moved by exact values."""
+    (each its points, ascending): their ``r`` and the new total, R moved by exact values.
+    ``seen``, the day's memo, maps a cluster's points (a tuple) to its ``r`` and ``exact``
+    int: ``r`` depends on the member set alone, so a hit has ``_summed``'s bits."""
     K, R = total
-    rs = [_summed(values, mem) for mem in made]
+    rs = []
+    for mem in made:
+        if (hit := seen.get(key := tuple(mem))) is None:
+            rk = _summed(values, mem)
+            hit = seen[key] = rk, exact(rk)
+        rs.append(hit[0])
+        R += hit[1]
     for k in gone:
         R -= exact(r[k])
-    for rk in rs:
-        R += exact(rk)
     return rs, (K + len(made) - len(gone), R)
 
 
@@ -353,10 +360,12 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     An individual holds its labels as ``_held`` gives them, each cluster's
     ``r`` and the exact total (K, R). An offspring copies its parent's ``r``
     and scores its at most three new clusters (``_moved``), so its f equals
-    the dense ``fitness_parts`` of its labels exactly. The unchanged copy
-    shares its parent's entry and ``_mutate_labels``' memo. A day's own
-    population also keeps its labels as given, which the audit sees and its
-    offspring's draws follow; offspring are audited and deployed renumbered.
+    the dense ``fitness_parts`` of its labels exactly; the day's memo
+    ``seen`` sums each distinct new cluster once (at most 3 * popsize *
+    maxgen entries, freed with the day). The unchanged copy shares its
+    parent's entry and ``_mutate_labels``' memo. A day's own population also
+    keeps its labels as given, which the audit sees and its offspring's draws
+    follow; offspring are audited and deployed renumbered.
     """
     def search(nbrs, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
@@ -375,7 +384,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 lab, r, total = _held(given, values)
                 pop.append((score(lab, values, total, given), lab, r, total, [], given))
             pop.sort(key=itemgetter(0))
-            trace = [pop[0][0]]
+            trace, seen = [pop[0][0]], {}  # seen: the day's memo for _moved
 
             for _ in range(config.maxgen):
                 offspring = []
@@ -386,7 +395,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                     if not made:  # the unchanged copy: its parent's entry, scored again
                         offspring.append((score(lab, values, total, given), *entry[1:]))
                         continue
-                    rs, total = _moved(values, r, total, gone, made)
+                    rs, total = _moved(values, r, total, gone, made, seen)
                     r = r.copy()
                     r[[mem[0] + 1 for mem in made]] = rs
                     offspring.append((score(child, values, total), child, r, total, [], None))
@@ -418,7 +427,9 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     the exact total (K, R). A round scores x's removal once and each join from
     it (``_moved``), tried on the labels in place and undone; the best is
     committed. So a candidate costs O(H) per point of the clusters it changes,
-    and its f equals the dense ``fitness_parts`` of its labels exactly.
+    and its f equals the dense ``fitness_parts`` of its labels exactly. The
+    day's memo ``seen`` sums each distinct new cluster once (at most one entry
+    per charged evaluation, so ``budget``, freed with the day).
     """
     budget = _integer("budget", budget, 1)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
@@ -430,7 +441,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
             labels, r, total = _held(np.arange(1, n + 1), values)
             r, counts = r.tolist(), [0] + [1] * n  # counts[k]: cluster k's size
             cur_f = score(labels, values, total)
-            trace, evals = [cur_f], 0
+            trace, evals, seen = [cur_f], 0, {}  # seen: the day's memo for _moved
             while evals < budget:
                 x = int(draws.integers(n))
                 kx, mates, targets, inside = _joinable(labels, nbrs[x], x, counts)
@@ -440,9 +451,9 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                 targets = targets[:budget - evals - 1]
                 evals += 1 + len(targets)
                 if targets:  # x's removal: kx without x, or no cluster
-                    rest, removed = _moved(values, r, total, [kx], [mates] if mates else [])
+                    rest, removed = _moved(values, r, total, [kx], [mates] if mates else [], seen)
                     for t in targets:
-                        rt, moved = _moved(values, r, removed, [t], [sorted([*inside[t], x])])
+                        rt, moved = _moved(values, r, removed, [t], [sorted([*inside[t], x])], seen)
                         labels[x] = t
                         f = score(labels, values, moved)
                         if f < best_f:

@@ -174,7 +174,15 @@ def test_error_exits(ds_dir, tmp_path, capsys):
     (lambda m: [m], "'list'"),
     (lambda m: {**m, "optimal_labels": [1, 2]}, "optimal_labels has 2 entries for"),
     (lambda m: {**m, "optimal_labels": [3] + [1] * (m["n_points"] - 1)}, "carries label 2"),
-], ids=["unknown-field", "missing-field", "not-an-object", "short-labels", "gapped-labels"])
+    (lambda m: {**m, "optimal_labels": [1.9] + [1] * (m["n_points"] - 1)},
+     "optimal_labels = [1.9, 1, "),
+    (lambda m: {**m, "optimal_labels": "1"}, "optimal_labels = '1' is not tuple[int, ...]"),
+    (lambda m: {**m, "n_days": True}, "n_days = True is not int"),
+    (lambda m: {**m, "seed": 0.0}, "seed = 0.0 is not int"),
+    (lambda m: {**m, "generator_params": []}, "generator_params = [] is not dict"),
+    (lambda m: {**m, "distance_metric": None}, "distance_metric = None is not str"),
+], ids=["unknown-field", "missing-field", "not-an-object", "short-labels", "gapped-labels",
+        "real-labels", "text-labels", "bool-count", "real-seed", "list-params", "null-metric"])
 def test_run_rejects_malformed_manifest(ds_dir, tmp_path, capsys, edit, named):
     d = tmp_path / "bad"
     shutil.copytree(ds_dir, d)

@@ -48,7 +48,7 @@ def _child(held, values, child, gone, made):
     holds it, checked against a full recomputation: each cluster labelled 1 + its first
     point, and its r, the total and f equal to the full sums' bit for bit."""
     labels, r, total = held
-    rs, total = solvers._moved(values, r, total, gone, made)
+    rs, total = solvers._moved(values, r, total, gone, made, {})
     r = r.copy()
     r[[mem[0] + 1 for mem in made]] = rs
     assert child.tolist() == _by_first_point(child).tolist()
@@ -748,11 +748,8 @@ def _moved_checked(labels, values, new):
     held, r, total = solvers._held(labels, values)
     assert total == _dense(labels, values)[1]
     assert held.tolist() == _by_first_point(labels).tolist()
-    old = {tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels)}
-    now = {tuple(np.flatnonzero(new == k).tolist()) for k in np.unique(new)}
-    gone = [int(held[mem[0]]) for mem in sorted(old - now)]
-    made = [list(mem) for mem in sorted(now - old)]
-    rs, got = solvers._moved(values, r, total, gone, made)
+    gone, made = _changed(held, new)
+    rs, got = solvers._moved(values, r, total, gone, made, {})
     want_r, want = _dense(new, values)
     canon = model.renumber(new)
     assert got == want
@@ -764,6 +761,14 @@ def _moved_checked(labels, values, new):
         child[mem] = mem[0] + 1
     assert child.tolist() == _by_first_point(new).tolist()
     return child, got
+
+
+def _changed(held, new):
+    """The clusters of ``held`` (labels by first point) that ``new`` does not keep, by label,
+    and the clusters ``new`` makes, each its points ascending."""
+    old = {tuple(np.flatnonzero(held == k).tolist()) for k in np.unique(held)}
+    now = {tuple(np.flatnonzero(new == k).tolist()) for k in np.unique(new)}
+    return [int(held[mem[0]]) for mem in sorted(old - now)], [list(m) for m in sorted(now - old)]
 
 
 def _moving(labels, moved, to):
@@ -987,7 +992,7 @@ _EXAMPLE = np.array([1, 2, 1, 3, 2, 4, 3, 1, 4, 2, 5, 6])
 
 
 @pytest.mark.parametrize("hours", [1, 3])
-def test_regroup_join_example(hours):
+def test_moved_join_example(hours):
     values = _zeros_and_repeats(np.random.default_rng(7), _EXAMPLE.size, hours)
     # Held by first point, the clusters are 1, 2, 4, 6, 11 and 12.
     assert solvers._held(_EXAMPLE, values)[0].tolist() == [1, 2, 1, 4, 2, 6, 4, 1, 6, 2, 11, 12]
@@ -1004,7 +1009,7 @@ def test_regroup_join_example(hours):
 
 
 @pytest.mark.parametrize("hours", [1, 3])
-def test_regroup_isolate_example(hours):
+def test_moved_isolate_example(hours):
     values = _zeros_and_repeats(np.random.default_rng(8), _EXAMPLE.size, hours)
     # x = 1, cluster 2's first member, starts a new cluster; cluster 2 now starts at 4.
     child, (K, _) = _moved_checked(_EXAMPLE, values, _moving(_EXAMPLE, [1], 7))
@@ -1015,7 +1020,7 @@ def test_regroup_isolate_example(hours):
 
 
 @pytest.mark.parametrize("hours", [1, 3])
-def test_regroup_pull_example(hours):
+def test_moved_pull_example(hours):
     # On a line with tau = 1: x = 1 at 0.2 is alone, and its only neighbour is
     # point 0, the first member of cluster 1 = {0, 2}, whose point 2 at 1.8
     # lies outside x's row. The only move x has is to pull point 0.
@@ -1079,12 +1084,13 @@ def test_moved_in_two_steps_matches_one_step(raw, x, hours, seed, case):
     held, r, total = solvers._held(labels, values)
     kx = int(held[x])
     rest = [p for p in np.flatnonzero(held == kx).tolist() if p != x]
-    _, removed = solvers._moved(values, r, total, [kx], [rest] if rest else [])
+    _, removed = solvers._moved(values, r, total, [kx], [rest] if rest else [], {})
     for k in np.unique(held).tolist():
         if k != kx:
             joined = sorted([*np.flatnonzero(held == k).tolist(), x])
-            _, two = solvers._moved(values, r, removed, [k], [joined])
-            _, one = solvers._moved(values, r, total, [k, kx], [joined, *([rest] if rest else [])])
+            _, two = solvers._moved(values, r, removed, [k], [joined], {})
+            made = [joined, *([rest] if rest else [])]
+            _, one = solvers._moved(values, r, total, [k, kx], made, {})
             new = model.renumber(_moving(held, [x], k))
             assert two == one == _moved_checked(labels, values, new)[1]
     seen = {"x = 0"} if x == 0 else set()
@@ -1115,6 +1121,65 @@ def test_moved_matches_renumber_and_full_sums(n, hours, seed, kind):
     else:
         new = _moving(labels, [x], K + 1)
     _moved_checked(labels, values, new)
+
+
+def _drawn_move(rng, held):
+    """A join, pull or isolate of a random point x of ``held`` (labels by first point), as
+    ``_changed`` gives it."""
+    x, new = int(rng.integers(held.size)), held.copy()
+    others = np.setdiff1d(np.unique(held), [held[x]])
+    kind = rng.choice(["join", "pull", "isolate"])
+    if kind == "join" and others.size:
+        new[x] = rng.choice(others)
+    elif kind == "pull" and others.size:
+        donor = np.flatnonzero(held == rng.choice(others))
+        new[[x, *rng.choice(donor, int(rng.integers(1, donor.size + 1)), replace=False)]] = 0
+    else:
+        new[x] = 0
+    return _changed(held, new)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["2b", "zeros"]), st.integers(0, 2**16), st.just(None))
+@example("2b", 0, "hits")
+@example("zeros", 0, "hits")
+def test_one_memo_per_day_scores_as_a_fresh_one(kind, seed, case):
+    # Drawn join, pull and isolate sequences, a few candidates from each clustering and
+    # one of them committed, as the solvers try them: one memo threaded through them all
+    # gives each candidate the r and total a fresh memo gives, bit for bit, and every entry
+    # is its key's r and that r's exact int. On 2b's planted groups (r ties at 0.0) and on
+    # traffic with whole rows of zeros.
+    rng = np.random.default_rng(seed)
+    if kind == "2b":
+        ds = datasets.make_dataset("2b", seed=seed, n_days=1, n_groups=3, np_max=6)
+        values, labels = ds.traffic[0].values, np.array(ds.manifest.optimal_labels)
+    else:
+        n = int(rng.integers(2, 30))
+        values = _special_traffic(rng, n, int(rng.integers(1, 5)))
+        values[rng.random(n) < 0.4] = 0.0
+        labels = model.renumber(rng.integers(1, n + 1, size=n))
+    held, r, total = solvers._held(labels, values)
+    seen, hits = {}, 0
+    for _ in range(30):
+        tried = []
+        for _ in range(int(rng.integers(1, 4))):
+            gone, made = _drawn_move(rng, held)
+            if made:
+                hits += any(tuple(mem) in seen for mem in made)
+                rs, got = solvers._moved(values, r, total, gone, made, seen)
+                fresh_rs, fresh = solvers._moved(values, r, total, gone, made, {})
+                assert _same_bits(rs, fresh_rs) and got == fresh
+                tried.append((made, rs, got))
+        if tried:
+            made, rs, total = tried[int(rng.integers(len(tried)))]
+            held, r = held.copy(), r.copy()
+            for mem, rk in zip(made, rs):
+                held[mem], r[mem[0] + 1] = mem[0] + 1, rk
+    for key, (rk, ek) in seen.items():
+        want = solvers._summed(values, list(key))
+        assert list(key) == sorted(key) and _same_bits(rk, want) and ek == objective.exact(want)
+    assert total == _dense(held, values)[1]
+    assert case is None or hits > 0
 
 
 def _scored(solver, ps, traffic, problem, seed):
