@@ -204,14 +204,17 @@ def build_distance_matrix(positions, metric: str = "euclidean") -> PointSet:
     """Validate positions and a metric into a :class:`PointSet`.
 
     No distance is computed here: :func:`within_tau` and
-    :func:`nearest_distances` measure only the pairs they need.
+    :func:`nearest_distances` measure only the pairs they need. The point set
+    holds its own read-only copy of the positions, so a caller writing into
+    ``positions`` later changes neither it nor a neighbourhood built from it.
 
     Args:
         positions: sequence of (coord1, coord2) pairs; for haversine these
             are (longitude, latitude) in degrees.
         metric: "euclidean" or "haversine_meters".
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = np.array(positions, dtype=float)
+    pos.flags.writeable = False
     if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] == 0:
         raise ValueError(f"positions must be a non-empty (N, 2) array, got shape {pos.shape}")
     if not np.all(np.isfinite(pos)):
@@ -257,12 +260,13 @@ def nearest_distances(point_set: PointSet) -> np.ndarray:
 def within_tau(point_set: PointSet, tau: float) -> list[np.ndarray]:
     """Each point's neighbours within tau: row i is ascending and holds i.
 
-    The rows are views into one compressed-sparse-row index array.
+    The rows are read-only views into one compressed-sparse-row index array.
     """
     n = point_set.n_points
     i, j, _ = _pairs_within(point_set, tau)
     rows = np.concatenate([i, j, np.arange(n)])
     indices = np.sort(rows * n + np.concatenate([j, i, np.arange(n)])) % n
+    indices.flags.writeable = False
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     return [indices[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 

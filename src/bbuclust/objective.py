@@ -65,6 +65,19 @@ def exact(r: float) -> int:
     return n << 1075 - d.bit_length()
 
 
+def _exact_sum(r: np.ndarray) -> int:
+    """``sum(map(exact, r.tolist()))`` in one pass: each double is q * 2**s in ``exact``'s
+    units (|q| < 2**53, s >= 0); the q of each s are summed as int64 in 26-bit halves, so
+    no group of fewer than 2**36 overflows, and each group sum is shifted by its s once."""
+    m, e = np.frexp(r)
+    s = np.maximum(e + 1021, 0)  # subnormals: s = 0
+    order = np.argsort(s)
+    q, s = np.ldexp(m, np.minimum(e + 1074, 53)).astype(np.int64)[order], s[order]
+    first = np.flatnonzero(s != np.append(-1, s[:-1]))  # each group's start
+    hi, lo = (np.add.reduceat(h, first).tolist() for h in (q >> 26, q & (1 << 26) - 1))
+    return sum(((h << 26) + l) << k for h, l, k in zip(hi, lo, s[first].tolist()))
+
+
 def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
                   total: tuple[int, int] | None = None) -> tuple[float, int, float]:
     """Fitness on raw arrays: returns (f, K, mean utility).

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import (Clustering, PointSet, ProblemConfig, TrafficDay, _integer, _real,
                     renumber, within_tau)
-from .objective import FitnessValue, cluster_sums, exact, fitness_parts
+from .objective import FitnessValue, _exact_sum, cluster_sums, exact, fitness_parts
 
 VARIANTS = ("split", "rand", "copy")
 
@@ -35,11 +35,15 @@ AuditHook = Callable[[np.ndarray], None]
 # ``renumber``ed.
 Scorer = Callable[[np.ndarray, np.ndarray, tuple[int, int] | None, np.ndarray | None], float]
 
-# A solver's day-by-day search: given the tau neighbour lists, each day's
-# (N, H) traffic and the scorer, it yields per day the labels to deploy, the
-# search trace and the evaluations charged.
-DaySearch = Callable[[Sequence[np.ndarray], list[np.ndarray], Scorer],
+# A solver's day-by-day search: given the tau neighbour rows (arrays, then the same as
+# tuples), each day's (N, H) traffic and the scorer, it yields per day the labels to
+# deploy, the search trace and the evaluations charged.
+DaySearch = Callable[[Sequence[np.ndarray], Sequence[Sequence[int]], list[np.ndarray], Scorer],
                      Iterator[tuple[np.ndarray, list[float], int]]]
+
+# The last point set solved (held, so no other object can take its identity), its tau
+# and its rows in both forms, all read-only; ``_solve_days`` reads it once per solve.
+_last: tuple = (None, None, (), ())
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class _Draws:
         return out
 
 
-def _repair(rows: Sequence[list[int]], r: int, close: Sequence[int], num: int,
+def _repair(rows: Sequence[Sequence[int]], r: int, close: Sequence[int], num: int,
             rng: np.random.Generator) -> list[int]:
     """Pairwise repair: of ``num`` points of ``close`` (each within tau of r), drawn as
     ``rng.choice(len(close), num, replace=False)`` draws them, those within tau of every
@@ -199,17 +203,17 @@ def _moved(values: np.ndarray, r: Sequence[float], total: tuple[int, int], gone:
 
 def _held(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """``labels`` (1..K) with each cluster labelled 1 + its first point, as solvers hold them,
-    the clusters' ``r`` by those labels (summed in full) and the total (K, R)."""
+    the clusters' ``r`` by those labels (summed in full) and their exact total (K, R)."""
     _, first = np.unique(labels, return_index=True)
     dev = cluster_sums(labels, values)
     dev -= 1.0
     rk = np.add.reduce(np.abs(dev, out=dev), axis=1)
     r = np.zeros(labels.size + 1)
     r[first + 1] = rk
-    return (first + 1)[labels - 1], r, (first.size, sum(map(exact, rk.tolist())))
+    return (first + 1)[labels - 1], r, (first.size, _exact_sum(rk))
 
 
-def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.ndarray:
+def _initial_labels(rows: Sequence[Sequence[int]], rng: np.random.Generator) -> np.ndarray:
     """Grow random feasible clusters until every point is assigned (``_repair``; one pick
     inline), the unassigned points in ascending blocks of ``_BLOCK`` values, so that
     finding the drawn r-th point or deleting a grown one moves few pointers."""
@@ -239,9 +243,9 @@ def _initial_labels(rows: Sequence[list[int]], rng: np.random.Generator) -> np.n
     return np.array(labels, dtype=np.int64)
 
 
-def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], rows: Sequence[list[int]],
-                   prob: float, rng: np.random.Generator, memo: list | None = None,
-                   order: np.ndarray | None = None
+def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray],
+                   rows: Sequence[Sequence[int]], prob: float, rng: np.random.Generator,
+                   memo: list | None = None, order: np.ndarray | None = None
                    ) -> tuple[np.ndarray, list[int], list[list[int]]]:
     """Move one point x (isolated points preferred) between feasible clusters.
 
@@ -309,12 +313,14 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
                 audit: AuditHook | None) -> list[DayResult]:
     """The day driver both solvers share.
 
-    Checks the traffic against the point set and ``problem.H``, builds
-    ``within_tau`` once, runs ``search`` over the days with the one scorer every
+    Checks the traffic against the point set and ``problem.H``, takes the
+    ``within_tau`` rows from ``_last`` (built by the first solve on a point set
+    and tau alone), runs ``search`` over the days with the one scorer every
     candidate passes through (it calls ``audit`` first, when set) and
     re-scores each day's deployed labels with the dense ``fitness_parts`` (an
     uncharged evaluation) into a :class:`DayResult`.
     """
+    global _last
     if len(traffic_by_day) == 0:
         raise ValueError("traffic_by_day is empty")
     for t in traffic_by_day:
@@ -330,7 +336,10 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
             audit(renumber(labels) if shown is None else shown)
         return fitness_parts(labels, values, problem.w, total)[0]
 
-    days = search(within_tau(point_set, problem.tau), values_by_day, score)
+    if (memo := _last)[0] is not point_set or memo[1] != problem.tau:
+        nbrs = tuple(within_tau(point_set, problem.tau))
+        _last = memo = point_set, problem.tau, nbrs, tuple(tuple(row.tolist()) for row in nbrs)
+    days = search(*memo[2:], values_by_day, score)
     results: list[DayResult] = []
     for d, (values, (labels, trace, evals)) in enumerate(zip(values_by_day, days)):
         f, K, u_mean = fitness_parts(labels, values, problem.w)
@@ -367,10 +376,9 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     keeps its labels as given, which the audit sees and its offspring's draws
     follow; offspring are audited and deployed renumbered.
     """
-    def search(nbrs, values_by_day, score):
+    def search(nbrs, rows, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = _Draws(np.random.default_rng(seeds[0]))
-        rows = [row.tolist() for row in nbrs]
         for d, values in enumerate(values_by_day):
             # Today's population, by yesterday's rng (day 0: seeds[0]'s); "copy" keeps it.
             if not d or config.variant == "rand":
@@ -435,7 +443,7 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
     n = point_set.n_points
 
-    def search(nbrs, values_by_day, score):
+    def search(nbrs, _, values_by_day, score):
         draws = _Draws(rng)
         for values in values_by_day:
             labels, r, total = _held(np.arange(1, n + 1), values)

@@ -233,7 +233,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
     drift in the live ones shows here too, and has the scorer score each array
     densely, from its labels alone.
     """
-    def search(nbrs, values_by_day, score):
+    def search(nbrs, _, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
         pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
@@ -278,7 +278,7 @@ def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkp
     """
     n = point_set.n_points
 
-    def search(nbrs, values_by_day, score):
+    def search(nbrs, _, values_by_day, score):
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
             cur_f = score(labels, values, None)

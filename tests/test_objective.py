@@ -91,6 +91,26 @@ def test_exact_is_the_double_in_units_of_its_smallest():
         assert sum(map(objective.exact, rs)) / 2 ** 1074 == math.fsum(rs)
 
 
+# Doubles m * 2**e with m < 2**53: zeros, subnormals (e = -1074) up to the largest finite
+# double (e = 971), either sign; and plain hypothesis floats beside them.
+_DOUBLES = st.one_of(
+    st.builds(math.ldexp, st.integers(-(2 ** 53) + 1, 2 ** 53 - 1), st.integers(-1074, 971)),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324]))
+
+
+@given(st.lists(_DOUBLES, max_size=60))
+def test_exact_sum_is_the_sum_of_exact(rs):
+    assert objective._exact_sum(np.array(rs, dtype=float)) == sum(map(objective.exact, rs))
+
+
+@given(st.integers(2 ** 11 + 1, 6000), st.integers(-1074, 971), st.integers(0, 2 ** 32 - 1))
+def test_exact_sum_of_many_mantissas_near_2_53_in_one_binade(size, e, seed):
+    # Over 2**11 mantissas near 2**53 sum past 2**64: int64 holds their sum only in halves.
+    m = np.random.default_rng(seed).integers(2 ** 53 - 2 ** 20, 2 ** 53, size=size)
+    rs = np.ldexp(m.astype(float), e)
+    assert objective._exact_sum(rs) == sum(map(objective.exact, rs.tolist()))
+
+
 def test_metrics_matches_pure_oracle(rng):
     for _ in range(60):
         n = int(rng.integers(1, 12))

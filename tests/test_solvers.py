@@ -1,4 +1,9 @@
+import gc
 import itertools
+import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -707,7 +712,7 @@ def test_greedy_scores_every_join_exactly(n, budget, hours, seed, cases):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_greedy_writes_no_audited_labels_and_no_parent_rows(seed):
+def test_greedy_writes_no_audited_labels_and_restarts_from_its_commit(seed):
     # Greedy tries each join on its labels in place: no label array it has
     # audited may change afterwards, and each round's tries are undone, so the
     # next round starts from the labels and the total of the candidate the
@@ -779,7 +784,7 @@ def _moving(labels, moved, to):
 
 
 @pytest.mark.parametrize("hours", [1, 3])
-def test_move_dev_matches_full_rows_on_every_kind_of_move(hours):
+def test_moved_matches_full_sums_on_every_kind_of_move(hours):
     # Clusters of 1, 2, 9 and 130 members, interleaved in point order. The
     # moved points include each cluster's first, second and last member (so
     # moves empty a cluster, remove its first member and make x a target's
@@ -1267,3 +1272,133 @@ def test_audit_does_not_change_results(solver):
         assert a.trace == b.trace
         assert a.evals_used == b.evals_used
     assert len(seen) >= sum(r.evals_used for r in solve(None))
+
+
+def test_held_total_is_the_sum_of_exact_on_uniform_2000():
+    # The benchmark's uniform-2000 instance: seed individuals' totals from the
+    # vectorised exact sum equal the sum of each cluster's exact value.
+    ds = datasets.make_dataset("1a", seed=0, n_days=2, n_points=2000)
+    rows = _lists(model.within_tau(ds.point_set, harness.resolve_tau(ds.point_set)))
+    rng = np.random.default_rng(2000)
+    for _ in range(3):
+        given = solvers._initial_labels(rows, rng)
+        for t in ds.traffic:
+            assert solvers._held(given, t.values)[2] == _dense(given, t.values)[1]
+
+
+def _solved(solver, ps, tau):
+    """The pickled ``DayResult``s of one small solve: equal bytes, equal results."""
+    traffic = _traffic_days(np.random.default_rng(3), ps.n_points, 2, hours=3)
+    problem = model.ProblemConfig(w=0.01, tau=tau, H=3)
+    if solver == "greedy":
+        out = solvers.run_greedy(ps, traffic, 120, problem, np.random.default_rng(4))
+    else:
+        out = solvers.run_ea(ps, traffic, solvers.EaConfig(popsize=4, maxgen=15, seed=4),
+                             problem)
+    return pickle.dumps(out)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The number of neighbourhood builds (``_pairs_within`` calls) so far."""
+    calls, pairs = [], model._pairs_within
+    monkeypatch.setattr(model, "_pairs_within", lambda *a: calls.append(a) or pairs(*a))
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["greedy", "ea"])
+def test_a_second_solve_on_a_point_set_and_tau_builds_nothing(builds, solver):
+    ps = _random_geometry(np.random.default_rng(0), 25, box=4.0)
+    first = _solved(solver, ps, 1.5)
+    assert len(builds) == 1
+    assert _solved(solver, ps, 1.5) == first
+    assert _solved("ea" if solver == "greedy" else "greedy", ps, 1.5)
+    assert len(builds) == 1
+    _solved(solver, ps, 2.0)  # a new tau
+    assert len(builds) == 2
+    again = model.build_distance_matrix(ps.positions)  # a new point set, equal positions
+    assert _solved(solver, again, 2.0) == _solved(solver, ps, 2.0)
+    assert len(builds) == 4
+
+
+def test_the_memo_keeps_only_the_last_point_set():
+    rng = np.random.default_rng(1)
+    sets = [_random_geometry(rng, 12, box=3.0) for _ in range(3)]
+    first = weakref.ref(sets[0])
+    for ps in sets:
+        _solved("greedy", ps, 1.0)
+    del sets[:2], ps
+    gc.collect()
+    assert first() is None
+    assert solvers._last[0] is sets[0]
+
+
+def test_writing_the_passed_positions_changes_no_later_solve(builds):
+    pos = np.random.default_rng(2).uniform(0.0, 4.0, size=(25, 2))
+    ps = model.build_distance_matrix(pos)
+    want = _solved("ea", ps, 1.5)
+    pos[:] = 0.0  # every point at one place: one cluster, were it seen
+    assert _solved("ea", ps, 1.5) == want
+    _solved("ea", ps, 2.0)  # rebuilt twice from the point set's own positions
+    assert _solved("ea", ps, 1.5) == want
+    assert len(builds) == 3
+    assert not ps.positions.flags.writeable
+
+
+def test_the_memo_rows_raise_on_write():
+    ps = _random_geometry(np.random.default_rng(3), 20, box=3.0)
+    _solved("greedy", ps, 1.5)
+    _, _, nbrs, rows = solvers._last
+    with pytest.raises(ValueError):
+        nbrs[0][0] = 1
+    with pytest.raises(TypeError):
+        rows[0][0] = 1
+    with pytest.raises(TypeError):
+        nbrs[0] = nbrs[1]
+    with pytest.raises(ValueError):
+        ps.positions[0, 0] = 1.0
+
+
+def test_threads_solving_two_point_sets_each_get_their_own_rows():
+    # Each solve reads the memo once: a solve in another thread that replaces
+    # it cannot hand this one the other point set's rows.
+    rng = np.random.default_rng(5)
+    sets = [_random_geometry(rng, 30, box=box) for box in (2.0, 6.0)]
+    want = [_solved("greedy", ps, 1.5) for ps in sets]
+    got, switch = [], sys.getswitchinterval()
+
+    def work(i):
+        for j in range(12):
+            got.append(_solved("greedy", sets[(i + j) % 2], 1.5) == want[(i + j) % 2])
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [True] * 48
+
+
+class _SwappingTau(float):
+    """A tau that puts ``other`` in the memo while the memo compares it, as another
+    thread's solve might between this solve's reading the memo and using it."""
+
+    def __ne__(self, other):
+        solvers._last = self.other
+        return float(self) != other
+
+
+def test_a_solve_uses_the_memo_entry_it_checked():
+    rng = np.random.default_rng(6)
+    ps, other = _random_geometry(rng, 30, box=2.0), _random_geometry(rng, 30, box=6.0)
+    _solved("greedy", other, 1.5)
+    tau = _SwappingTau(1.5)
+    tau.other = solvers._last
+    want = _solved("greedy", ps, 1.5)
+    assert _solved("greedy", ps, tau) == want
+    assert solvers._last[0] is other
