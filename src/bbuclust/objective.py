@@ -88,7 +88,7 @@ def fitness_parts(labels: np.ndarray, values: np.ndarray, w: float,
     depends on the set of clusters alone, not on label numbering or row
     order. This dense reference rounds with ``math.fsum``; given a solver's
     exact ``total`` (K, R), R in ``exact``'s units, it only divides, to the
-    same bits.
+    same bits, and ``labels`` may be any int64 buffer (it reads none of them).
     """
     if total is None:
         dev = cluster_sums(labels, values)

@@ -9,6 +9,7 @@ latter wrapped in :class:`~bbuclust.model.Clustering`.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
@@ -30,20 +31,21 @@ _BLOCK = 4096
 # array scored again (a carried-over population, greedy's "stay") is seen again.
 AuditHook = Callable[[np.ndarray], None]
 
-# Scores labels on one day's (N, H) traffic from their exact total (K, R), or densely
+# Scores labels (given a total, any int64 buffer, as the solvers hold them in an
+# ``array('q')``) on one day's (N, H) traffic from their exact total (K, R), or densely
 # given None (see ``fitness_parts``); the audit sees the last argument, else the labels
 # ``renumber``ed.
-Scorer = Callable[[np.ndarray, np.ndarray, tuple[int, int] | None, np.ndarray | None], float]
+Scorer = Callable[[Sequence[int], np.ndarray, tuple[int, int] | None, np.ndarray | None], float]
 
-# A solver's day-by-day search: given the tau neighbour rows (arrays, then the same as
-# tuples), each day's (N, H) traffic and the scorer, it yields per day the labels to
-# deploy, the search trace and the evaluations charged.
-DaySearch = Callable[[Sequence[np.ndarray], Sequence[Sequence[int]], list[np.ndarray], Scorer],
+# A solver's day-by-day search: given the tau neighbour rows (tuples), each day's (N, H)
+# traffic and the scorer, it yields per day the labels to deploy, the search trace and
+# the evaluations charged.
+DaySearch = Callable[[Sequence[Sequence[int]], list[np.ndarray], Scorer],
                      Iterator[tuple[np.ndarray, list[float], int]]]
 
 # The last point set solved (held, so no other object can take its identity), its tau
-# and its rows in both forms, all read-only; ``_solve_days`` reads it once per solve.
-_last: tuple = (None, None, (), ())
+# and its rows as tuples; ``_solve_days`` reads it once per solve.
+_last: tuple = (None, None, ())
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,14 @@ def _repair(rows: Sequence[Sequence[int]], r: int, close: Sequence[int], num: in
     return kept
 
 
-def _joinable(labels: np.ndarray, row: np.ndarray, x: int, counts: Sequence[int]
+def _joinable(labels: Sequence[int], row: Sequence[int], x: int, counts: Sequence[int]
               ) -> tuple[int, list[int], list[int], dict[int, list[int]]]:
     """x's cluster kx, x's cluster-mates (all in x's row ``row``: kx is feasible), the other
     clusters wholly within ``row`` by first point (counts[k]: k's size), ``row`` by label."""
     inside: dict[int, list[int]] = {}
-    for p, k in zip(row.tolist(), labels[row].tolist()):
-        inside.setdefault(k, []).append(p)
-    kx = int(labels[x])
+    for p in row:
+        inside.setdefault(labels[p], []).append(p)
+    kx = labels[x]
     return (kx, [p for p in inside[kx] if p != x],
             [k for k, mem in inside.items() if k != kx and len(mem) == counts[k]], inside)
 
@@ -243,33 +245,33 @@ def _initial_labels(rows: Sequence[Sequence[int]], rng: np.random.Generator) -> 
     return np.array(labels, dtype=np.int64)
 
 
-def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray],
-                   rows: Sequence[Sequence[int]], prob: float, rng: np.random.Generator,
-                   memo: list | None = None, order: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, list[int], list[list[int]]]:
+def _mutate_labels(labels: array, rows: Sequence[Sequence[int]], prob: float,
+                   rng: np.random.Generator, memo: list | None = None,
+                   order: np.ndarray | None = None) -> tuple[array, list[int], list[list[int]]]:
     """Move one point x (isolated points preferred) between feasible clusters.
 
-    ``labels`` label each cluster 1 + its first point (``_held``); the draws
-    take clusters in label order, or in that of ``order``, the same clusters
-    numbered another way (a seed individual's, as it grew). Returns the
-    child, labelled alike, the parent labels of the clusters it changes (x's,
-    then the one x joins or pulls from) and the child's new clusters, each
-    its points ascending; the unchanged copy is ``labels``, changing none.
-    ``memo`` is ``labels``' own cache, empty at first: this fills it with
-    ``bincount(labels)`` and, once drawn from, the singleton clusters' points.
+    ``labels`` (an ``array('q')``) label each cluster 1 + its first point
+    (``_held``); the draws take clusters in label order, or in that of
+    ``order``, the same clusters numbered another way (a seed individual's, as
+    it grew). Returns the child, labelled alike, the parent labels of the
+    clusters it changes (x's, then the one x joins or pulls from) and the
+    child's new clusters, each its points ascending; the unchanged copy is
+    ``labels``, changing none. ``memo`` is ``labels``' own cache, empty at
+    first: this fills it with their ``bincount`` and, once drawn from, the
+    singleton clusters' points (p is alone exactly when ``counts[p + 1] == 1``).
     """
     memo = [] if memo is None else memo
     if not memo:
-        memo.append(np.bincount(labels))
+        memo.append(np.bincount(np.frombuffer(labels, np.int64)))
     counts, iso = memo[0], ()
     if rng.random() < prob:
         if len(memo) == 1:
-            memo.append(np.flatnonzero(counts[labels] == 1))
+            memo.append(np.flatnonzero(counts[1:] == 1))
         iso = memo[1]
-    x = int(iso[rng.integers(len(iso))] if len(iso) else rng.integers(labels.size))
+    x = int(iso[rng.integers(len(iso))] if len(iso) else rng.integers(len(labels)))
     if len(rows[x]) == 1:  # no point within tau of x, which is alone: the unchanged copy
         return labels, [], []
-    kx, mates, joinable, inside = _joinable(labels, nbrs[x], x, counts)
+    kx, mates, joinable, inside = _joinable(labels, rows[x], x, counts)
     rank = None if order is None else (lambda k: order[inside[k][0]])
     joinable.sort(key=rank)
     made = [mates] if mates else []
@@ -283,14 +285,15 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray],
         num = 1 + int(rng.integers(len(inside[c])))
         pulled = _repair(rows, x, inside[c], num, rng)
         gone = [kx, c]  # c is not wholly within the row, so some of it stays
-        made += [[p for p in np.flatnonzero(labels == c).tolist() if p not in pulled],
-                 sorted([x, *pulled])]
+        made += [[p for p in np.flatnonzero(np.frombuffer(labels, np.int64) == c).tolist()
+                  if p not in pulled], sorted([x, *pulled])]
     else:  # only its own cluster's points in reach: x is isolated
         gone = [kx]
         made.append([x])
-    child = labels.copy()
+    child = labels[:]
     for mem in made:
-        child[mem] = mem[0] + 1
+        for p in mem:
+            child[p] = mem[0] + 1
     return child, gone, made
 
 
@@ -314,8 +317,8 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
     """The day driver both solvers share.
 
     Checks the traffic against the point set and ``problem.H``, takes the
-    ``within_tau`` rows from ``_last`` (built by the first solve on a point set
-    and tau alone), runs ``search`` over the days with the one scorer every
+    ``within_tau`` rows, as tuples, from ``_last`` (built by the first solve on
+    a point set and tau alone), runs ``search`` over the days with the one scorer every
     candidate passes through (it calls ``audit`` first, when set) and
     re-scores each day's deployed labels with the dense ``fitness_parts`` (an
     uncharged evaluation) into a :class:`DayResult`.
@@ -337,9 +340,9 @@ def _solve_days(point_set: PointSet, traffic_by_day: Sequence[TrafficDay],
         return fitness_parts(labels, values, problem.w, total)[0]
 
     if (memo := _last)[0] is not point_set or memo[1] != problem.tau:
-        nbrs = tuple(within_tau(point_set, problem.tau))
-        _last = memo = point_set, problem.tau, nbrs, tuple(tuple(row.tolist()) for row in nbrs)
-    days = search(*memo[2:], values_by_day, score)
+        rows = tuple(tuple(row.tolist()) for row in within_tau(point_set, problem.tau))
+        _last = memo = point_set, problem.tau, rows
+    days = search(memo[2], values_by_day, score)
     results: list[DayResult] = []
     for d, (values, (labels, trace, evals)) in enumerate(zip(values_by_day, days)):
         f, K, u_mean = fitness_parts(labels, values, problem.w)
@@ -366,17 +369,18 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
     after initial evaluation and after each generation (maxgen + 1 entries),
     and ``evals_used`` is popsize * (maxgen + 1).
 
-    An individual holds its labels as ``_held`` gives them, each cluster's
-    ``r`` and the exact total (K, R). An offspring copies its parent's ``r``
-    and scores its at most three new clusters (``_moved``), so its f equals
-    the dense ``fitness_parts`` of its labels exactly; the day's memo
-    ``seen`` sums each distinct new cluster once (at most 3 * popsize *
-    maxgen entries, freed with the day). The unchanged copy shares its
-    parent's entry and ``_mutate_labels``' memo. A day's own population also
-    keeps its labels as given, which the audit sees and its offspring's draws
-    follow; offspring are audited and deployed renumbered.
+    An individual holds its labels as ``_held`` gives them in an
+    ``array('q')``, each cluster's ``r`` in an ``array('d')`` and the exact
+    total (K, R). An offspring copies its parent's ``r`` and scores its at
+    most three new clusters (``_moved``), so its f equals the dense
+    ``fitness_parts`` of its labels exactly; the day's memo ``seen`` sums
+    each distinct new cluster once (at most 3 * popsize * maxgen entries,
+    freed with the day). The unchanged copy shares its parent's entry and
+    ``_mutate_labels``' memo. A day's own population also keeps its labels
+    as given, which the audit sees and its offspring's draws follow;
+    offspring are audited and deployed renumbered.
     """
-    def search(nbrs, rows, values_by_day, score):
+    def search(rows, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = _Draws(np.random.default_rng(seeds[0]))
         for d, values in enumerate(values_by_day):
@@ -390,6 +394,7 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
             pop = []
             for given in labels:
                 lab, r, total = _held(given, values)
+                lab, r = array("q", lab.tobytes()), array("d", r.tobytes())
                 pop.append((score(lab, values, total, given), lab, r, total, [], given))
             pop.sort(key=itemgetter(0))
             trace, seen = [pop[0][0]], {}  # seen: the day's memo for _moved
@@ -398,14 +403,14 @@ def run_ea(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], config: Ea
                 offspring = []
                 for entry in pop:
                     _, lab, r, total, memo, given = entry
-                    child, gone, made = _mutate_labels(lab, nbrs, rows, config.prob, rng,
-                                                       memo, given)
+                    child, gone, made = _mutate_labels(lab, rows, config.prob, rng, memo, given)
                     if not made:  # the unchanged copy: its parent's entry, scored again
                         offspring.append((score(lab, values, total, given), *entry[1:]))
                         continue
                     rs, total = _moved(values, r, total, gone, made, seen)
-                    r = r.copy()
-                    r[[mem[0] + 1 for mem in made]] = rs
+                    r = r[:]
+                    for mem, rk in zip(made, rs):
+                        r[mem[0] + 1] = rk
                     offspring.append((score(child, values, total), child, r, total, [], None))
                 pop = sorted(pop + offspring, key=itemgetter(0))[:config.popsize]
                 trace.append(pop[0][0])
@@ -431,28 +436,30 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     The trace records the committed fitness at every ``checkpoint_every``
     evaluations, so its length is budget // checkpoint_every + 1.
 
-    Each cluster keeps a label (x joining one takes it) and its ``r``, beside
-    the exact total (K, R). A round scores x's removal once and each join from
-    it (``_moved``), tried on the labels in place and undone; the best is
-    committed. So a candidate costs O(H) per point of the clusters it changes,
-    and its f equals the dense ``fitness_parts`` of its labels exactly. The
-    day's memo ``seen`` sums each distinct new cluster once (at most one entry
-    per charged evaluation, so ``budget``, freed with the day).
+    The labels are held in an ``array('q')``. Each cluster keeps a label (x
+    joining one takes it) and its ``r``, beside the exact total (K, R). A
+    round scores x's removal once and each join from it (``_moved``), tried
+    on the labels in place and undone; the best is committed. So a candidate
+    costs O(H) per point of the clusters it changes, and its f equals the
+    dense ``fitness_parts`` of its labels exactly. The day's memo ``seen``
+    sums each distinct new cluster once (at most one entry per charged
+    evaluation, so ``budget``, freed with the day).
     """
     budget = _integer("budget", budget, 1)
     checkpoint_every = _integer("checkpoint_every", checkpoint_every, 1)
     n = point_set.n_points
 
-    def search(nbrs, _, values_by_day, score):
+    def search(rows, values_by_day, score):
         draws = _Draws(rng)
         for values in values_by_day:
             labels, r, total = _held(np.arange(1, n + 1), values)
-            r, counts = r.tolist(), [0] + [1] * n  # counts[k]: cluster k's size
+            labels, r = array("q", labels.tobytes()), r.tolist()
+            counts = [0] + [1] * n  # counts[k]: cluster k's size
             cur_f = score(labels, values, total)
             trace, evals, seen = [cur_f], 0, {}  # seen: the day's memo for _moved
             while evals < budget:
                 x = int(draws.integers(n))
-                kx, mates, targets, inside = _joinable(labels, nbrs[x], x, counts)
+                kx, mates, targets, inside = _joinable(labels, rows[x], x, counts)
                 # The first candidate is "stay"; strict < keeps it on ties. A
                 # round that would pass the budget is cut short.
                 best_f, best = score(labels, values, total), None

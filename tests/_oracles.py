@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from bbuclust import solvers
-from bbuclust.model import PointSet, TrafficDay, build_distance_matrix, renumber
+from bbuclust.model import PointSet, TrafficDay, build_distance_matrix, renumber, within_tau
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius (IUGG), metres
 
@@ -230,10 +230,12 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def reference_run_ea(point_set, traffic_by_day, config, problem):
     """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim
     except that it seeds, mutates and splits through the frozen operators above, so
-    drift in the live ones shows here too, and has the scorer score each array
-    densely, from its labels alone.
+    drift in the live ones shows here too, on the ``within_tau`` arrays it builds
+    itself, and has the scorer score each array densely, from its labels alone.
     """
-    def search(nbrs, _, values_by_day, score):
+    nbrs = within_tau(point_set, problem.tau)
+
+    def search(_, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
         rng = np.random.default_rng(seeds[0])
         pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
@@ -273,12 +275,13 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
 def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkpoint_every):
     """The greedy loop ``solvers.run_greedy`` must reproduce, kept verbatim except
     that it draws from ``rng`` itself, the draws ``solvers._Draws`` replays, finds
-    and moves into the joinable clusters through the frozen operators above and
-    has the scorer score each array densely, from its labels alone.
+    and moves into the joinable clusters through the frozen operators above, on the
+    ``within_tau`` arrays it builds itself, and has the scorer score each array
+    densely, from its labels alone.
     """
-    n = point_set.n_points
+    n, nbrs = point_set.n_points, within_tau(point_set, problem.tau)
 
-    def search(nbrs, _, values_by_day, score):
+    def search(_, values_by_day, score):
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
             cur_f = score(labels, values, None)

@@ -45,3 +45,13 @@ def test_uniform_2000_traced_pass_is_correct():
     # The N = 2000 greedy path, and the traced run's identity: fitness_parts
     # calls = charged evaluations + the per-day re-scores.
     assert _last_result("--workload", "uniform-2000", "--trace", "1")["correct"] is True
+
+
+@pytest.mark.slow
+def test_paper_1a_untraced_pass_keeps_the_fingerprint():
+    # The benchmark gates on untraced passes: one must be correct and deploy the
+    # same mean f, bit for bit, for splitea and for greedy (seed 1).
+    result = _last_result("--workload", "paper-1a", "--trace", "0")
+    assert result["correct"] is True
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert (metrics["ea_f"], metrics["greedy_f"]) == (1.0564990658942954, 1.0725244150749407)

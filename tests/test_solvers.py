@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def _random_geometry(rng, n, box=10.0):
 def _lists(nbrs):
     """The ``within_tau`` rows as the lists ``run_ea`` hands the Python operators."""
     return [row.tolist() for row in nbrs]
+
+
+def _mutate(labels, nbrs, *args, **kwargs):
+    """``_mutate_labels`` of numpy ``labels`` on ``within_tau`` rows, both held as run_ea
+    holds them (an ``array('q')``, tuple rows); the child comes back as numpy, or as
+    ``labels`` itself for the unchanged copy."""
+    held = array("q", labels.tolist())
+    child, gone, made = solvers._mutate_labels(held, tuple(map(tuple, _lists(nbrs))),
+                                               *args, **kwargs)
+    return labels if child is held else np.frombuffer(child, np.int64), gone, made
 
 
 def _rows(labels, values):
@@ -113,7 +124,7 @@ def test_mutate_merges_two_near_singletons(rng):
     ps = _points([0, 1])
     parent = np.array([1, 2])
     nbrs = model.within_tau(ps, 2.0)
-    child, gone, made = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob=1.0, rng=rng)
+    child, gone, made = _mutate(parent, nbrs, prob=1.0, rng=rng)
     assert child.tolist() == [1, 1]
     assert sorted(gone) == [1, 2] and made == [[0, 1]]
     _child(solvers._held(parent, np.ones((2, 1))), np.ones((2, 1)), child, gone, made)
@@ -124,7 +135,7 @@ def test_mutate_no_neighbors_is_noop(rng):
     parent = np.array([1, 2, 3])
     nbrs = model.within_tau(ps, 1.0)
     for _ in range(10):
-        child, gone, made = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob=0.5, rng=rng)
+        child, gone, made = _mutate(parent, nbrs, prob=0.5, rng=rng)
         assert child is parent and parent.tolist() == [1, 2, 3]
         assert gone == made == []
 
@@ -135,7 +146,7 @@ def test_mutate_escapes_single_cluster(rng):
     ps = _points([0, 1])
     parent = np.array([1, 1])
     nbrs = model.within_tau(ps, 5.0)
-    child, gone, made = solvers._mutate_labels(parent, nbrs, _lists(nbrs), prob=0.3, rng=rng)
+    child, gone, made = _mutate(parent, nbrs, prob=0.3, rng=rng)
     assert child.tolist() == [1, 2]
     assert gone == [1] and sorted(made) == [[0], [1]]
 
@@ -148,7 +159,7 @@ def test_mutate_preserves_feasibility_and_nonempty_donors(rng):
         rows = _lists(adj)
         lab = solvers._held(solvers._initial_labels(rows, rng), rng.random((15, 2)))[0]
         for _ in range(60):
-            child, gone, made = solvers._mutate_labels(lab, adj, rows, prob=0.5, rng=rng)
+            child, gone, made = _mutate(lab, adj, prob=0.5, rng=rng)
             # The changed clusters are replaced, none emptied, each by its first point.
             assert all(made) and set(gone) <= set(lab.tolist())
             assert set(child.tolist()) == \
@@ -194,7 +205,7 @@ def test_operators_match_their_frozen_versions(n, hours, seed, box, split, prob)
     held, order = solvers._held(parent, values), parent
     for step in range(10):
         shown = model.renumber(held[0]) if order is None else order
-        child, gone, made = solvers._mutate_labels(held[0], nbrs, rows, prob, live, None, order)
+        child, gone, made = _mutate(held[0], nbrs, prob, live, None, order)
         want, want_changed = _oracles._mutate_labels(shown, nbrs, prob, frozen)
         same_draws()
         # Label k's first point is k - 1: the changed clusters as the frozen version numbers them.
@@ -233,8 +244,7 @@ def test_memo_mutations_match_the_frozen_operator(n, seed, box, prob):
         for held, memo, order in pop:
             shown = model.renumber(held[0]) if order is None else order
             for _ in range(2):
-                child, gone, made = solvers._mutate_labels(held[0], nbrs, rows, prob, live,
-                                                           memo, order)
+                child, gone, made = _mutate(held[0], nbrs, prob, live, memo, order)
                 want, changed = _oracles._mutate_labels(shown, nbrs, prob, frozen)
                 assert [int(shown[k - 1]) for k in gone] == list(changed)
                 assert live.bit_generator.state == frozen.bit_generator.state
@@ -331,8 +341,7 @@ def _pulls_match_frozen(coords, tau, parent):
     taken = set()
     for seed in range(40):
         live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
-        child, gone, made = solvers._mutate_labels(held[0], nbrs, _lists(nbrs), 1.0, live,
-                                                   None, parent)
+        child, gone, made = _mutate(held[0], nbrs, 1.0, live, None, parent)
         want, changed = _oracles._mutate_labels(parent, nbrs, 1.0, frozen)
         assert model.renumber(child).tolist() == want.tolist()
         assert [int(parent[k - 1]) for k in gone] == list(changed) and len(changed) == 2
@@ -415,7 +424,8 @@ def test_joinable_matches_its_bincount_version(n, seed, alone):
     # Ascending, holding x's cluster, as every row of a feasible clustering does.
     mx = np.flatnonzero(labels == labels[x])
     row = mx if alone else np.union1d(others, mx)
-    kx, mates, got, inside = solvers._joinable(labels, row, x, counts)
+    kx, mates, got, inside = solvers._joinable(array("q", labels.tolist()), tuple(row.tolist()),
+                                               x, counts)
     assert kx == labels[x] and type(kx) is int
     assert mates == [p for p in mx.tolist() if p != x]
     assert inside == {k: row[labels[row] == k].tolist() for k in set(labels[row].tolist())}
@@ -642,13 +652,13 @@ def _greedy_run_recorded(n, budget, hours, seed):
 
     def recording_joinable(labels, row, x, counts):
         found = joinable(labels, row, x, counts)
-        events.append([x, row, found[2]])
+        events.append([x, np.array(row), found[2]])
         return found
 
     def recording_parts(labels, values, w, total=None):
         f = parts(labels, values, w, total)
         # None for the driver's re-score of a day's deployed labels, which ends the day.
-        events.append(None if total is None else (labels.copy(), total, f[0], values))
+        events.append(None if total is None else (np.array(labels), total, f[0], values))
         return f
 
     with pytest.MonkeyPatch.context() as mp:
@@ -840,8 +850,7 @@ def _mutation_walk(rng, n, hours, box, split, prob, steps=8):
     held, order = solvers._held(given, values), given
     kinds, sizes = set(), []
     for step in range(steps):
-        child, gone, made = solvers._mutate_labels(held[0], nbrs, _lists(nbrs), prob, rng,
-                                                   None, order)
+        child, gone, made = _mutate(held[0], nbrs, prob, rng, None, order)
         if not made:
             kinds.add("no-op")
             continue
@@ -856,7 +865,7 @@ def _mutation_walk(rng, n, hours, box, split, prob, steps=8):
 
 
 @pytest.mark.parametrize("hours", [1, 3])
-def test_child_dev_matches_full_rows_on_every_kind_of_mutation(hours):
+def test_mutated_child_matches_full_sums_on_every_kind_of_mutation(hours):
     # Dense boxes give clusters of more than 8 members (where a pairwise sum
     # would differ from bincount's sequential one at H = 1); sparse boxes give
     # isolated points, whose mutation is the unchanged copy.
@@ -875,7 +884,7 @@ def test_child_dev_matches_full_rows_on_every_kind_of_mutation(hours):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.floats(1.0, 40.0), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]))
-def test_child_dev_matches_full_rows_for_mutations(n, hours, seed, box, split, prob):
+def test_mutated_child_matches_full_sums_for_mutations(n, hours, seed, box, split, prob):
     _mutation_walk(np.random.default_rng(seed), n, hours, box, split, prob)
 
 
@@ -1036,8 +1045,7 @@ def test_moved_pull_example(hours):
     held = solvers._held(parent, values)
     pulls = 0
     for seed in range(20):
-        child, gone, made = solvers._mutate_labels(held[0], nbrs, _lists(nbrs), 1.0,
-                                                   np.random.default_rng(seed))
+        child, gone, made = _mutate(held[0], nbrs, 1.0, np.random.default_rng(seed))
         if not made:  # x = 5, which has no neighbour
             continue
         assert (gone, made) == ([2, 1], [[2], [0, 1]])
@@ -1274,6 +1282,58 @@ def test_audit_does_not_change_results(solver):
     assert len(seen) >= sum(r.evals_used for r in solve(None))
 
 
+@pytest.mark.parametrize("kind", ["1a", "2b"])
+@pytest.mark.parametrize("solver", ["split", "rand", "greedy"])
+def test_the_scorer_gets_int64_buffers_and_the_audit_fresh_arrays(kind, solver):
+    # perfbench's tracer hashes the tobytes() of each labels object the solvers hand
+    # fitness_parts (its distinct_ratio), so each must be N labels with the bytes of the
+    # equal int64 vector; the audit is handed fresh int64 ndarrays labelled 1..K, which
+    # the solver never writes afterwards.
+    sizes = {"n_points": 60} if kind == "1a" else {"n_groups": 8}
+    ds = datasets.make_dataset(kind, seed=2, n_days=3, **sizes)
+    n = ds.point_set.n_points
+    problem = model.ProblemConfig(w=0.01, tau=harness.resolve_tau(ds.point_set),
+                                  H=ds.manifest.hours)
+    parts, scored, audited = solvers.fitness_parts, [], []
+
+    def recording_parts(labels, values, w, total=None):
+        assert len(labels) == n
+        assert labels.tobytes() == np.asarray(labels, dtype=np.int64).tobytes()
+        scored.append(type(labels))
+        return parts(labels, values, w, total)
+
+    def audit(labels):
+        assert type(labels) is np.ndarray and labels.dtype == np.int64
+        assert labels.flags.owndata and labels.flags.writeable
+        assert np.unique(labels).tolist() == list(range(1, int(labels.max()) + 1))
+        audited.append((labels, labels.copy()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "fitness_parts", recording_parts)
+        if solver == "greedy":
+            solvers.run_greedy(ds.point_set, ds.traffic, 300, problem,
+                               np.random.default_rng(2), audit=audit)
+        else:
+            cfg = solvers.EaConfig(popsize=6, maxgen=30, variant=solver, seed=2)
+            solvers.run_ea(ds.point_set, ds.traffic, cfg, problem, audit=audit)
+    assert len(audited) == len(scored) - len(ds.traffic)  # all but the per-day re-scores
+    assert all(lab.tobytes() == copy.tobytes() for lab, copy in audited)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=80))
+@example([1])  # N = 1
+@example(list(range(1, 41)))  # all singletons
+@example([1] * 40)  # one single cluster
+def test_singletons_are_the_labels_counted_once(raw):
+    # Held by first point (_held), p is alone exactly when label p + 1 counts one
+    # member, so _mutate_labels finds the singletons without gathering counts[labels].
+    labels = solvers._held(model.renumber(np.array(raw)), np.zeros((len(raw), 1)))[0]
+    counts = np.bincount(labels)
+    assert np.flatnonzero(counts[1:] == 1).tolist() == \
+        np.flatnonzero(counts[labels] == 1).tolist()
+
+
 def test_held_total_is_the_sum_of_exact_on_uniform_2000():
     # The benchmark's uniform-2000 instance: seed individuals' totals from the
     # vectorised exact sum equal the sum of each cluster's exact value.
@@ -1348,13 +1408,13 @@ def test_writing_the_passed_positions_changes_no_later_solve(builds):
 def test_the_memo_rows_raise_on_write():
     ps = _random_geometry(np.random.default_rng(3), 20, box=3.0)
     _solved("greedy", ps, 1.5)
-    _, _, nbrs, rows = solvers._last
-    with pytest.raises(ValueError):
-        nbrs[0][0] = 1
+    _, _, rows = solvers._last
+    with pytest.raises(ValueError):  # the arrays the memo's tuples are built from
+        model.within_tau(ps, 1.5)[0][0] = 1
     with pytest.raises(TypeError):
         rows[0][0] = 1
     with pytest.raises(TypeError):
-        nbrs[0] = nbrs[1]
+        rows[0] = rows[1]
     with pytest.raises(ValueError):
         ps.positions[0, 0] = 1.0
 
