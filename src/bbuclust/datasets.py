@@ -289,6 +289,9 @@ def regenerate(manifest: DatasetManifest) -> Dataset:
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write locations.csv, traffic.csv, and manifest.json under out_dir."""
+    for d, day in enumerate(dataset.traffic):  # TrafficDay holds no value below 0
+        if (top := float(day.values.max())) > 1.0:
+            raise ValueError(f"day {d}: traffic value {top!r} is outside [0, 1]")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pos = dataset.point_set.positions

@@ -19,8 +19,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .forecast import make_forecaster
-from .model import (PointSet, ProblemConfig, TrafficDay, _fitted, _integer, _real,
-                    nearest_distances)
+from .model import PointSet, ProblemConfig, TrafficDay, _fitted, _integer, nearest_distances
 from .objective import MetricsReport, metrics
 from .solvers import EaConfig, run_ea, run_greedy
 from .stats import Q_ALPHA, friedman_nemenyi
@@ -107,6 +106,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:  # ProblemConfig's checks of w and an absolute tau
         ProblemConfig(self.w, ProblemConfig.tau if self.tau is None else self.tau)
+        if not self.algorithms:
+            raise ValueError("no algorithm given")
         for name in ("runs", "workers"):
             _integer(name, getattr(self, name), 1)
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, -math.inf))
@@ -178,9 +179,7 @@ def run_seed(base_seed: int, algorithm: str, run: int) -> int:
 def resolve_tau(point_set: PointSet, value: float | None = None) -> float:
     """Resolve the distance cap: an absolute value, or 3x the mean NN distance."""
     if value is not None:
-        if not _real("tau", value) > 0:
-            raise ValueError(f"tau must be positive, got {value}")
-        return float(value)
+        return float(ProblemConfig(tau=value).tau)
     if point_set.n_points < 2:
         raise ValueError("3x-mean-nn needs at least 2 points; pass an absolute tau")
     tau = 3.0 * float(nearest_distances(point_set).mean())
@@ -303,6 +302,10 @@ def write_records(records: Sequence[RunRecord], path: str | Path) -> None:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
+def _no_constant(name: str):  # NaN and +-Infinity: Python's json reads them, JSON has none
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_records(path: str | Path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
@@ -311,7 +314,7 @@ def read_records(path: str | Path) -> list[RunRecord]:
             if not line:
                 continue
             try:  # not an object, or a field missing, unknown or of another type
-                doc = _fitted(RunRecord, json.loads(line))
+                doc = _fitted(RunRecord, json.loads(line, parse_constant=_no_constant))
                 doc["days"] = tuple(DayRecord(**{**_fitted(DayRecord, d),
                                                  "trace": tuple(d["trace"])})
                                     for d in doc["days"])

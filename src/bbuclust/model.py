@@ -48,15 +48,36 @@ class PointSet:
 
     ``positions`` is an (N, 2) float array. For the haversine metric the
     columns are (longitude, latitude) in degrees and distances are metres;
-    for the euclidean metric the columns are plain planar coordinates.
+    for the euclidean metric the columns are plain planar coordinates. The
+    point set holds its own read-only copy of them, so a caller writing into
+    its array later changes neither it nor a neighbourhood built from it.
     """
 
     positions: np.ndarray
-    metric: str
+    metric: str = "euclidean"
+
+    def __post_init__(self) -> None:
+        pos = np.array(self.positions, dtype=float)
+        pos.flags.writeable = False
+        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] == 0:
+            raise ValueError(f"positions must be a non-empty (N, 2) array, got shape {pos.shape}")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions contain non-finite values")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
+        if self.metric == "haversine_meters":
+            lon, lat = pos[:, 0], pos[:, 1]
+            if (np.abs(lon) > 180.0).any() or (np.abs(lat) > 90.0).any():
+                raise ValueError("haversine positions must be (lon, lat) degrees with |lon|<=180, |lat|<=90")
+        object.__setattr__(self, "positions", pos)
 
     @property
     def n_points(self) -> int:
         return self.positions.shape[0]
+
+
+# The former name, which perfbench traces; no matrix is built (within_tau measures pairs).
+build_distance_matrix = PointSet
 
 
 @dataclass(frozen=True)
@@ -198,34 +219,6 @@ def _pairs_within(point_set: PointSet, radius: float) -> tuple[np.ndarray, np.nd
     d = _pair_dist(pos, i, j, point_set.metric)
     close = d <= radius
     return i[close], j[close], d[close]
-
-
-def build_distance_matrix(positions, metric: str = "euclidean") -> PointSet:
-    """Validate positions and a metric into a :class:`PointSet`.
-
-    No distance is computed here: :func:`within_tau` and
-    :func:`nearest_distances` measure only the pairs they need. The point set
-    holds its own read-only copy of the positions, so a caller writing into
-    ``positions`` later changes neither it nor a neighbourhood built from it.
-
-    Args:
-        positions: sequence of (coord1, coord2) pairs; for haversine these
-            are (longitude, latitude) in degrees.
-        metric: "euclidean" or "haversine_meters".
-    """
-    pos = np.array(positions, dtype=float)
-    pos.flags.writeable = False
-    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] == 0:
-        raise ValueError(f"positions must be a non-empty (N, 2) array, got shape {pos.shape}")
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("positions contain non-finite values")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if metric == "haversine_meters":
-        lon, lat = pos[:, 0], pos[:, 1]
-        if (np.abs(lon) > 180.0).any() or (np.abs(lat) > 90.0).any():
-            raise ValueError("haversine positions must be (lon, lat) degrees with |lon|<=180, |lat|<=90")
-    return PointSet(positions=pos, metric=metric)
 
 
 def _nearest_of(pos: np.ndarray, metric: str, rows: np.ndarray) -> np.ndarray:

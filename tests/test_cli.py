@@ -1,6 +1,10 @@
 import inspect
 import json
+import math
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -97,7 +101,10 @@ def test_sweep_cmd(ds_dir, tmp_path, capsys):
     (["sweep", "--param", "budget", "--values", "20,20.9"], "20.9"),
     (["run", "--workers", "-3"], "-3"),
     (["run", "--workers", "0"], "0"),
-], ids=["fractional-budget", "negative-workers", "no-workers"])
+    (["run", "--algorithms", ","], "no algorithm given"),
+    (["sweep", "--algorithms", ",", "--param", "w", "--values", "0.01"], "no algorithm given"),
+], ids=["fractional-budget", "negative-workers", "no-workers", "no-algorithm",
+        "sweep-no-algorithm"])
 def test_run_and_sweep_reject_bad_counts(ds_dir, tmp_path, capsys, argv, named):
     # Rejected before anything runs: one error line naming the value, no output.
     out = tmp_path / "res"
@@ -217,9 +224,14 @@ def records_lines(ds_dir, tmp_path_factory):
     (lambda r: {**r, "days": [{**r["days"][0], "trace": 1.0}]}, "trace = 1.0 is not tuple"),
     (lambda r: {**r, "days": []}, "days = [] is not tuple"),
     (lambda r: {**r, "days": [1]}, "'int' is not iterable"),
+    (lambda r: {**r, "days": [{**r["days"][0], "f": math.nan}]}, "NaN is not a JSON number"),
+    (lambda r: {**r, "days": [{**r["days"][0], "trace": [math.inf]}]},
+     "Infinity is not a JSON number"),
+    (lambda r: {**r, "days": [{**r["days"][0], "U": -math.inf}]},
+     "-Infinity is not a JSON number"),
 ], ids=["no-days", "no-trace", "unknown-field", "not-an-object", "not-json", "text-real",
         "bool-real", "real-int", "bool-int", "int-str", "trace-text", "trace-number",
-        "no-day", "day-number"])
+        "no-day", "day-number", "nan", "infinity", "minus-infinity"])
 def test_compare_rejects_malformed_records(records_lines, tmp_path, capsys, edit, named):
     # The second line is bad: the error names the file, the line and the field.
     path, lines = tmp_path / "records.ndjson", list(records_lines)
@@ -246,3 +258,39 @@ def test_run_rejects_malformed_rows(ds_dir, tmp_path, capsys, name, edit):
     assert cli.main(["run", "--dataset", str(d), *RUN_FLAGS]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {d / name}: ")
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def _smoke_step() -> list[str]:
+    """The shell lines of the workflow's ``run: |`` step that calls bbuclust."""
+    lines = WORKFLOW.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() == "- run: |":
+            indent = len(line) - len(line.lstrip())
+            body = []
+            for text in lines[i + 1:]:
+                if len(text) - len(text.lstrip()) <= indent:
+                    break
+                body.append(text.strip())
+            if any(text.startswith("bbuclust ") for text in body):
+                return body
+    raise AssertionError(f"{WORKFLOW} has no bbuclust step")
+
+
+def test_the_workflow_smoke_step_passes_in_process(tmp_path):
+    # Each line as bash -e runs it: a bbuclust line must exit 0, a `cmp` line finds equal
+    # bytes, and the line wrapped in `if ...; then exit 1; fi` must exit non-zero.
+    kinds = []
+    for line in _smoke_step():
+        wrapped = re.fullmatch(r"if (.*); then exit 1; fi", line)
+        words = shlex.split((wrapped[1] if wrapped else line).replace("$RUNNER_TEMP",
+                                                                      str(tmp_path)))
+        if words[0] == "cmp":
+            assert Path(words[1]).read_bytes() == Path(words[2]).read_bytes(), line
+        else:
+            assert words[0] == "bbuclust", line
+            assert (cli.main(words[1:]) != 0) == bool(wrapped), line
+        kinds.append("failing" if wrapped else words[0])
+    assert {"bbuclust", "cmp", "failing"} <= set(kinds)

@@ -219,6 +219,16 @@ def test_save_dataset_matches_row_by_row_writer(tmp_path):
             assert (got / name).read_bytes() == (want / name).read_bytes()
 
 
+def test_save_dataset_refuses_traffic_that_load_dataset_would_reject(tmp_path):
+    ds = datasets.make_dataset("1a", seed=0, n_days=2, n_points=4)
+    values = ds.traffic[1].values.copy()
+    values[2, 5] = 1.5
+    bad = dataclasses.replace(ds, traffic=[ds.traffic[0], model.TrafficDay(values)])
+    with pytest.raises(ValueError, match=r"^day 1: traffic value 1\.5 is outside \[0, 1\]$"):
+        datasets.save_dataset(bad, tmp_path / "d")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_regenerate_rejects_csv_provenance(tmp_path):
     ds = datasets.make_dataset("1a", seed=0, n_days=1, n_points=4)
     datasets.save_dataset(ds, tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,19 +38,39 @@ def test_euclidean_matrix():
     assert ps.n_points == 3
 
 
+HAVERSINE_RANGE = "haversine positions must be (lon, lat) degrees with |lon|<=180, |lat|<=90"
+
+
 def test_build_distance_matrix_errors():
-    with pytest.raises(ValueError):
-        model.build_distance_matrix(np.empty((0, 2)))
-    with pytest.raises(ValueError):
-        model.build_distance_matrix([[0.0, np.nan]])
-    with pytest.raises(ValueError):
-        model.build_distance_matrix([[0.0, 0.0]], metric="chebyshev")
-    with pytest.raises(ValueError):
-        model.build_distance_matrix([[200.0, 0.0]], metric="haversine_meters")
-    with pytest.raises(ValueError):
-        model.build_distance_matrix([[0.0, 95.0]], metric="haversine_meters")
-    with pytest.raises(ValueError):
-        model.build_distance_matrix([[0.0], [1.0]])
+    # One construction path: the old name, the class and dataclasses.replace all check.
+    valid = model.build_distance_matrix([[1.0, 2.0]])
+    for make in (model.build_distance_matrix, model.PointSet,
+                 lambda pos, metric="euclidean": dataclasses.replace(valid, positions=pos,
+                                                                     metric=metric)):
+        for args, message in [
+            ((np.empty((0, 2)),), "positions must be a non-empty (N, 2) array, got shape (0, 2)"),
+            (([[0.0, np.nan]],), "positions contain non-finite values"),
+            (([[0.0, 0.0]], "chebyshev"),
+             "unknown metric 'chebyshev'; expected one of ('euclidean', 'haversine_meters')"),
+            (([[200.0, 0.0]], "haversine_meters"), HAVERSINE_RANGE),
+            (([[0.0, 95.0]], "haversine_meters"), HAVERSINE_RANGE),
+            (([[0.0], [1.0]],), "positions must be a non-empty (N, 2) array, got shape (2, 1)"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                make(*args)
+            assert str(err.value) == message, (make, args)
+
+
+def test_a_point_set_holds_a_read_only_copy_of_its_positions():
+    pos = np.array([[0, 0], [3, 4]])
+    made = [model.PointSet(pos),
+            dataclasses.replace(model.PointSet([[9.0, 9.0]]), positions=pos)]
+    pos[1] = 0
+    for ps in made:
+        assert ps.metric == "euclidean" and ps.positions.dtype == float
+        assert ps.positions.tolist() == [[0.0, 0.0], [3.0, 4.0]]
+        assert not ps.positions.flags.writeable
+    assert model.build_distance_matrix is model.PointSet
 
 
 def test_traffic_day_validation():

@@ -1405,6 +1405,19 @@ def test_writing_the_passed_positions_changes_no_later_solve(builds):
     assert not ps.positions.flags.writeable
 
 
+def test_moving_the_points_of_a_directly_built_point_set_changes_no_later_solve():
+    # The memo keys on the point set: its positions must not change under it.
+    pos = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]])
+    ps = model.PointSet(pos)
+    traffic = [model.TrafficDay(np.full((4, 2), 0.25))]
+    problem = model.ProblemConfig(w=0.01, tau=0.6, H=2)
+    first = solvers.run_greedy(ps, traffic, 50, problem, np.random.default_rng(0))[0].best
+    pos[:, 0] *= 20.0  # 10 apart: no two points within tau, were it seen
+    again = solvers.run_greedy(ps, traffic, 50, problem, np.random.default_rng(0))[0].best
+    assert np.array_equal(again.labels, first.labels) and again.K < 4
+    assert model.is_feasible(again, ps, 0.6)
+
+
 def test_the_memo_rows_raise_on_write():
     ps = _random_geometry(np.random.default_rng(3), 20, box=3.0)
     _solved("greedy", ps, 1.5)
