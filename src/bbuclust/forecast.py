@@ -18,17 +18,17 @@ class ForecastError:
 
 
 def persistence_predict(traffic_days: Sequence[TrafficDay], d: int) -> TrafficDay:
-    """Predict day d+1 as a copy of day d (tomorrow looks like today)."""
+    """Predict day d+1 as day d (tomorrow looks like today)."""
     if not (0 <= d < len(traffic_days)):
         raise ValueError(f"day {d} out of range 0..{len(traffic_days) - 1}")
-    return TrafficDay(values=traffic_days[d].values.copy())
+    return traffic_days[d]
 
 
 def oracle_predict(traffic_days: Sequence[TrafficDay], d: int) -> TrafficDay:
     """Predict day d+1 as its actual traffic (perfect-information baseline)."""
     if not (0 <= d < len(traffic_days) - 1):
         raise ValueError(f"oracle needs day {d + 1} to exist; have days 0..{len(traffic_days) - 1}")
-    return TrafficDay(values=traffic_days[d + 1].values.copy())
+    return traffic_days[d + 1]
 
 
 def forecast_error(predicted: TrafficDay, actual: TrafficDay) -> ForecastError:

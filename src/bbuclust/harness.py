@@ -198,7 +198,7 @@ def _plan_days(traffic: Sequence[TrafficDay], forecaster: str,
     traffic so that every dataset yields at least one served day.
     """
     if len(traffic) == 1:
-        return [0], [TrafficDay(values=traffic[0].values.copy())]
+        return [0], [traffic[0]]
     fc = make_forecaster(forecaster)
     served = list(range(1, len(traffic)))
     return served, [fc(traffic, s - 1) for s in served]

@@ -71,6 +71,9 @@ class PointSet:
                 raise ValueError("haversine positions must be (lon, lat) degrees with |lon|<=180, |lat|<=90")
         object.__setattr__(self, "positions", pos)
 
+    def __reduce__(self):  # unpickled through __post_init__: checked, read-only
+        return PointSet, (self.positions, self.metric)
+
     @property
     def n_points(self) -> int:
         return self.positions.shape[0]
@@ -82,12 +85,13 @@ build_distance_matrix = PointSet
 
 @dataclass(frozen=True)
 class TrafficDay:
-    """Traffic for one day: an (N, H) array of per-point, per-hour loads."""
+    """Traffic for one day: its own read-only (N, H) array of per-point, per-hour loads."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
+        v.flags.writeable = False
         if v.ndim != 2:
             raise ValueError(f"traffic must be a 2-D (points, hours) array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -98,6 +102,9 @@ class TrafficDay:
         if (v < 0).any():
             raise ValueError("traffic entries must be >= 0")
         object.__setattr__(self, "values", v)
+
+    def __reduce__(self):  # unpickled through __post_init__: checked, read-only
+        return TrafficDay, (self.values,)
 
     @property
     def n_points(self) -> int:

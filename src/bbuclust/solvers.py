@@ -79,71 +79,37 @@ class DayResult:
 
 
 class _Draws:
-    """``rng``'s ``integers(high)``, ``random`` and ``choice(n, size, replace=False)``: numpy's
-    values (Lemire's method on 32-bit halves; Floyd's sampling, then a shuffle, into a list),
-    replayed from PCG64 words fetched in blocks. ``rng`` draws the rest (ranges over 2**32, the
-    tail shuffle)."""
+    """The solvers' own uniform draws, from ``rng``'s raw 64-bit words fetched 512 at a time
+    (MT19937's 32-bit words paired, high word first; ``rng`` advances by whole blocks):
+    ``integers(b)`` in [0, b), 1 <= b <= 2**64, by Lemire's method; ``random()`` from the top
+    53 bits; ``choice(n, size, replace=False)`` by a partial Fisher-Yates shuffle."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng, self._words = rng, []  # the block's unused words, next last
-        self._pcg = isinstance(rng.bit_generator, np.random.PCG64)
-        if self._pcg:  # its kept half-word, stale if not flagged
-            state = rng.bit_generator.state
-            self._has, self._hi = state["has_uint32"], state["uinteger"]
-        else:  # MT19937's random() takes two 32-bit words; SFC64 cannot advance
-            self.integers, self.random, self.choice = rng.integers, rng.random, rng.choice
-
-    def sync(self) -> None:
-        """Leave ``rng`` in the state the draws replayed so far would have left it in."""
-        if self._pcg:
-            bg = self.rng.bit_generator
-            bg.advance((1 << 128) - len(self._words))  # back over the unused words
-            bg.state = {**bg.state, "has_uint32": self._has, "uinteger": self._hi}
-            self._words = []
-
-    def _numpy(self, name: str, *args):
-        self.sync()
-        out = getattr(self.rng, name)(*args)
-        self.__init__(self.rng)  # replay on from the state numpy's draw left
-        return out
+        self._pair = isinstance(rng.bit_generator, np.random.MT19937)
 
     def _word(self) -> int:
         if not self._words:
-            self._words = self.rng.bit_generator.random_raw(512)[::-1].tolist()
+            raw = self.rng.bit_generator.random_raw(1024 if self._pair else 512)
+            self._words = (raw[0::2] << 32 | raw[1::2] if self._pair else raw)[::-1].tolist()
         return self._words.pop()
 
-    def _below(self, b: int) -> int:
-        """A draw in [0, b), 1 <= b <= 2**32: Lemire's method on the next 32 bits."""
-        while b > 1:
-            if self._has:
-                self._has, m = 0, self._hi * b
-            else:
-                w = self._word()
-                self._has, self._hi, m = 1, w >> 32, (w & 0xFFFFFFFF) * b
-            if (m & 0xFFFFFFFF) >= (1 << 32) % b:
-                return m >> 32
-        return 0
-
-    def integers(self, high):
-        if type(high) is int and 0 < high <= 1 << 32:
-            return self._below(high)
-        return self._numpy("integers", high)
+    def integers(self, b: int) -> int:
+        while True:
+            m = self._word() * b
+            if (low := m & 0xFFFFFFFFFFFFFFFF) >= b or low >= (1 << 64) % b:
+                return m >> 64
 
     def random(self) -> float:
         return (self._word() >> 11) * (1.0 / 9007199254740992.0)
 
-    def choice(self, n, size, replace=False):
-        if (replace or type(n) is not int or type(size) is not int or not 0 <= size <= n
-                or n > 1 << 32 or n > 10000 and size > n // 50):
-            return self._numpy("choice", n, size, replace)
-        out = {}  # Floyd's sampling, in draw order
-        for j in range(n - size, n):
-            v = self._below(j + 1)
-            out[j if v in out else v] = None
-        out = list(out)
-        for i in range(size - 1, 0, -1):  # then a Fisher-Yates shuffle
-            k = self._below(i + 1)
-            out[i], out[k] = out[k], out[i]
+    def choice(self, n: int, size: int, replace: bool = False) -> list[int]:
+        """``size`` distinct values of range(n) (without replacement only)."""
+        out, moved = [], {}  # moved[j]: the value now at position j, if not j
+        for i in range(size):
+            j = i + self.integers(n - i)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
         return out
 
 
@@ -151,7 +117,7 @@ def _repair(rows: Sequence[Sequence[int]], r: int, close: Sequence[int], num: in
             rng: np.random.Generator) -> list[int]:
     """Pairwise repair: of ``num`` points of ``close`` (each within tau of r), drawn as
     ``rng.choice(len(close), num, replace=False)`` draws them, those within tau of every
-    point kept before (one point: one bounded draw, Floyd's one step and no shuffle)."""
+    point kept before (one point: the one bounded draw that ``choice`` takes)."""
     if num == 1:
         return [close[rng.integers(len(close))]]
     common, kept = set(rows[r]), []  # the points within tau of every kept point
@@ -216,14 +182,13 @@ def _held(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _initial_labels(rows: Sequence[Sequence[int]], rng: np.random.Generator) -> np.ndarray:
-    """Grow random feasible clusters until every point is assigned (``_repair``; one pick
-    inline), the unassigned points in ascending blocks of ``_BLOCK`` values, so that
-    finding the drawn r-th point or deleting a grown one moves few pointers."""
-    below = rng._below if getattr(rng, "_pcg", False) else rng.integers  # numpy's draws
+    """Grow random feasible clusters until every point is assigned (``_repair``), the
+    unassigned points in ascending blocks of ``_BLOCK`` values, so that finding the drawn
+    r-th point or deleting a grown one moves few pointers."""
     labels, n, k = [0] * len(rows), len(rows), 0
     pool = [list(range(a, min(a + _BLOCK, n))) for a in range(0, n, _BLOCK)]
     while n:
-        i = below(n)
+        i = rng.integers(n)
         for block in pool:
             if i < len(block):
                 break
@@ -232,11 +197,10 @@ def _initial_labels(rows: Sequence[Sequence[int]], rng: np.random.Generator) -> 
         k, n = k + 1, n - 1
         labels[r] = k
         close = [c for c in rows[r] if not labels[c]]
-        num = below(len(close) + 1) if close else 0
+        num = rng.integers(len(close) + 1) if close else 0
         if not num:
             continue
-        # One pick (within tau of r) inline: through _repair it costs this loop about 5%.
-        picked = [close[below(len(close))]] if num == 1 else _repair(rows, r, close, num, rng)
+        picked = _repair(rows, r, close, num, rng)
         for c in picked:
             labels[c] = k
             block = pool[c // _BLOCK]
@@ -434,7 +398,9 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
     A round that would exceed the budget is cut short mid-candidate-list.
 
     The trace records the committed fitness at every ``checkpoint_every``
-    evaluations, so its length is budget // checkpoint_every + 1.
+    evaluations, so its length is budget // checkpoint_every + 1. The points are
+    drawn through ``_Draws``, so ``rng`` ends a whole number of 512-word blocks on,
+    not where numpy's own ``Generator`` draws would have left it.
 
     The labels are held in an ``array('q')``. Each cluster keeps a label (x
     joining one takes it) and its ``r``, beside the exact total (K, R). A
@@ -485,7 +451,6 @@ def run_greedy(point_set: PointSet, traffic_by_day: Sequence[TrafficDay], budget
                     counts[t] += 1
                 if evals % checkpoint_every == 0:
                     trace.append(cur_f)
-            draws.sync()  # the day loop stops without resuming this after its last day
             yield renumber(labels), trace, evals
 
     return _solve_days(point_set, traffic_by_day, problem, search, audit)

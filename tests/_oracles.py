@@ -13,7 +13,11 @@ with its checkpoint counter and per-candidate budget check,
 cluster utility the micro reference's 1 - U must equal, and the candidate
 operators ``_initial_labels``, ``_grow``, ``_joinable``, ``_move``,
 ``_mutate_labels`` and ``_split_labels`` as they were before they were
-rewritten without changing a draw or a label.
+rewritten without changing a draw or a label. Their draws take the call forms
+the live operators use (``integers(h)``, ``1 + integers(h)`` and
+``arr[choice(len(arr), k, replace=False)]``), so that they draw alike from a
+numpy ``Generator`` and from ``solvers._Draws``, through which the reference
+loops draw.
 """
 from __future__ import annotations
 
@@ -162,8 +166,8 @@ def _initial_labels(nbrs: Sequence[np.ndarray], rng: np.random.Generator) -> np.
         k += 1
         row = nbrs[r]
         close = row[(labels[row] == 0) & (row != r)]
-        num = int(rng.integers(0, close.size + 1)) if close.size else 0
-        picked = rng.choice(close, size=num, replace=False).tolist() if num else []
+        num = int(rng.integers(close.size + 1)) if close.size else 0
+        picked = close[rng.choice(close.size, num, replace=False)].tolist() if num else []
         _grow(labels, nbrs, r, picked, k)
         for a in [r, *(c for c in picked if labels[c] == k)]:  # the points just assigned
             del pool[bisect_left(pool, a)]
@@ -206,9 +210,9 @@ def _mutate_labels(labels: np.ndarray, nbrs: Sequence[np.ndarray], prob: float,
 
     c = int(adjacent[rng.integers(adjacent.size)])
     cand = row[labels[row] == c]
-    num = int(rng.integers(1, cand.size + 1))
+    num = 1 + int(rng.integers(cand.size))
     new = labels.copy()
-    _grow(new, nbrs, x, rng.choice(cand, size=num, replace=False), K + 1)
+    _grow(new, nbrs, x, cand[rng.choice(cand.size, num, replace=False)], K + 1)
     return renumber(new), (kx, c)
 
 
@@ -220,8 +224,8 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return labels.copy()
     c = int(multi[rng.integers(multi.size)])
     mem = np.flatnonzero(labels == c)
-    nsplit = int(rng.integers(1, mem.size // 2 + 1))
-    picked = rng.choice(mem, size=nsplit, replace=False)
+    nsplit = 1 + int(rng.integers(mem.size // 2))
+    picked = mem[rng.choice(mem.size, nsplit, replace=False)]
     new = labels.copy()
     new[picked] = counts.size
     return renumber(new)
@@ -229,15 +233,16 @@ def _split_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def reference_run_ea(point_set, traffic_by_day, config, problem):
     """The full-kernel EA loop ``solvers.run_ea`` must reproduce, kept verbatim
-    except that it seeds, mutates and splits through the frozen operators above, so
-    drift in the live ones shows here too, on the ``within_tau`` arrays it builds
-    itself, and has the scorer score each array densely, from its labels alone.
+    except that it draws through ``solvers._Draws``, seeds, mutates and splits
+    through the frozen operators above, so drift in the live ones shows here too,
+    on the ``within_tau`` arrays it builds itself, and has the scorer score each
+    array densely, from its labels alone.
     """
     nbrs = within_tau(point_set, problem.tau)
 
     def search(_, values_by_day, score):
         seeds = np.random.SeedSequence(config.seed).spawn(len(values_by_day) + 1)
-        rng = np.random.default_rng(seeds[0])
+        rng = solvers._Draws(np.random.default_rng(seeds[0]))
         pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
 
         for d, values in enumerate(values_by_day):
@@ -248,7 +253,7 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
                 elif config.variant == "rand":
                     pop = [_initial_labels(nbrs, rng) for _ in range(config.popsize)]
                 # "copy": population carries over as-is.
-            rng = np.random.default_rng(seeds[d + 1])
+            rng = solvers._Draws(np.random.default_rng(seeds[d + 1]))
             fits = np.array([score(lab, values, None) for lab in pop])
             evals = config.popsize
             order = np.argsort(fits, kind="stable")
@@ -274,14 +279,15 @@ def reference_run_ea(point_set, traffic_by_day, config, problem):
 
 def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkpoint_every):
     """The greedy loop ``solvers.run_greedy`` must reproduce, kept verbatim except
-    that it draws from ``rng`` itself, the draws ``solvers._Draws`` replays, finds
-    and moves into the joinable clusters through the frozen operators above, on the
-    ``within_tau`` arrays it builds itself, and has the scorer score each array
-    densely, from its labels alone.
+    that it draws from ``rng`` through ``solvers._Draws``, finds and moves into the
+    joinable clusters through the frozen operators above, on the ``within_tau``
+    arrays it builds itself, and has the scorer score each array densely, from its
+    labels alone.
     """
     n, nbrs = point_set.n_points, within_tau(point_set, problem.tau)
 
     def search(_, values_by_day, score):
+        draws = solvers._Draws(rng)
         for values in values_by_day:
             labels = np.arange(1, n + 1, dtype=np.int64)
             cur_f = score(labels, values, None)
@@ -289,7 +295,7 @@ def reference_run_greedy(point_set, traffic_by_day, budget, problem, rng, checkp
             checkpoint = checkpoint_every
             evals = 0
             while evals < budget:
-                x = int(rng.integers(n))
+                x = int(draws.integers(n))
                 targets = _joinable(labels, nbrs[x], x, np.bincount(labels))
 
                 # The first candidate is "stay"; strict < keeps it on ties.

@@ -11,7 +11,7 @@ relabelling of a candidate shows up as a different digest.
 of ``f``, so a change to how ``f`` is rounded moves every ``DIGESTS`` entry,
 while a label digest moves only where that change reorders candidates.
 
-Print the digests of the current code with:
+Print the digests and the greedy generator pins of the current code with:
 
     PYTHONPATH=src python tests/test_candidate_stream.py
 """
@@ -25,48 +25,49 @@ import pytest
 from bbuclust import datasets, harness, model, solvers
 
 DIGESTS = {
-    ("1a", "split"): "700bf367aef66b3727787309fa1570e09cd550204bb62b2d5dd8cf5687b3d469",
-    ("1a", "copy"): "fe6525b4ac4c8f1af4437b08c7dd84010ac35342d719eadf7fefc40f6d2b1515",
-    ("1a", "rand"): "15f29ecf76a2737a2d0862241a126d44839beda6d7fbb71c41d33ee7d750382e",
-    ("1a", "greedy"): "c375419cd10e104f14c0459ea0f809a58c12e38fd7884d40f20e4e58347c51a9",
-    ("2b", "split"): "afec86742a2a8d6ba95fec97930ac18410126b9413a50d328bace7ba88d6f7b6",
-    ("2b", "copy"): "46f80d10969b3390a10b7c24733311a0ffd39e7e3fd59f3e1a4c3d4db8165c28",
-    ("2b", "rand"): "25a0e00fc717ed99e21927d9f22aea8b23df7a5b3eff12c50fc6044832df3960",
-    ("2b", "greedy"): "2f2880eb2d23aea13d895334372a33d60f2d6fea0f4bd3b35bcd4643f1c786f9",
-    ("milan-hav", "split"): "778ec26c4ecb209c21fba54bafcf31e9a48e1ba4f57fb90cf1a68c22a06de13b",
-    ("milan-hav", "copy"): "505efcf98eb150795ccedc20f2c4ebfec1c368f4038e63990675048dcf83e20d",
-    ("milan-hav", "rand"): "d1e012569990b1dfff9205a987fa5b2f08c2dc3474ec5346bfd180351a7804dd",
-    ("milan-hav", "greedy"): "58066dbe84e8f0f8287402905b17fd52f7df7e6b6c670b5d2ed15ccceec2909d",
+    ("1a", "split"): "3b12c7e2f328a5a73422d0d26412cab73e4d150ab99e4db06572acb639837432",
+    ("1a", "copy"): "3bf9465310ab3952fdcd52c5eb1d0cb1066bf5566f12405e32c72630583b3a98",
+    ("1a", "rand"): "97fa788cd03e0ce568a4e4067d54ce7f1fca26b1b910bc97275452a9052e8ec4",
+    ("1a", "greedy"): "51d5a12f9578c07f65f8a47fa0da225aa7ead7df0b85e14256be78eba765f10c",
+    ("2b", "split"): "2a0515631ffdcd5db22fa1fc1c47884741ca344a25993d78cc4f1178c1cfb3c4",
+    ("2b", "copy"): "e136199606b06d84d1eeced829c51d69459dcbb01ac8127f6f803c14d79bbf06",
+    ("2b", "rand"): "d07ca90ecad42de7528a3eff3bbd66001b761c59fac3801594ae6172aa05d9fc",
+    ("2b", "greedy"): "7e7b90522a18f0b94b464d7f1dfe901ccaa50aca4090fc31c3bf4b7d693c7d78",
+    ("milan-hav", "split"): "9c93250180c1debc651f6f527cec2b5d763c4773f6b86cb3229172dceb4a19d6",
+    ("milan-hav", "copy"): "e4e027f2095905373d0f8bd1ee0de86dd08ba8af3c865fda1b3ee72c4388771f",
+    ("milan-hav", "rand"): "99708d1f1e9345624964e476fdb9d1c8e07000d466a88fa75922360d4204c01f",
+    ("milan-hav", "greedy"): "c5b47fc8b4df7440ee0241e2c726853d36244599f10e1faf53c7b471c2cdd16a",
 }
 
 LABEL_DIGESTS = {
-    ("1a", "split"): "82b8dcdac0a32a2921af8f3cc4351a20a935b6e64fc48dd6c337db0f6f6e373f",
-    ("1a", "copy"): "23a55883ebcd61126a499b1d6cea8f08dcf3ab3df17e7472207f0ac35419ecbb",
-    ("1a", "rand"): "39515fe231b64b1815d13053a0b0eead65950247b989e41d0d1599f36d1492d0",
-    ("1a", "greedy"): "68478fc5dd259c8ff77b32d5bf868eb8acf36dad89b00f3802447995030fd650",
-    ("2b", "split"): "146d8a0fc5fe286d49d6c5e0af868029f1da1519d5316ae019285e81ae24e72f",
-    ("2b", "copy"): "126ec48f5d5cfbfcf0cf913770ae2085d81b137faab7706791f132b97e9d6367",
-    ("2b", "rand"): "f00059c882d5e8d6243ef3865844b73f90e53d07750620ab8f46018cacadab3d",
-    ("2b", "greedy"): "87afa61d78091631dfd07fa7b04fe66bae95c210e5d38a2fa5940324d811e1cd",
-    ("milan-hav", "split"): "d6d04d5ed3f6f5959e5b8886129ce998821d53453342d4aaea723d2845f90d5f",
-    ("milan-hav", "copy"): "965c528542bc46e5a15ef544954712e4b471687cda4f62b6072a8f3f9746d03d",
-    ("milan-hav", "rand"): "512ba9847600528c46704fc1170bc3f0cee2bf1c24d575abae7a9e0305b359d8",
-    ("milan-hav", "greedy"): "4f0b255495f4d090c7e36b6d5d46f17c7f23d1b23ad9e6acfefec5c413807da5",
+    ("1a", "split"): "86bb4c2a3378b8b6ad2b9cef4d87fd0dd5029450e08aacc934395d2fc0056df9",
+    ("1a", "copy"): "733e030a6234df86c475708cd4a196b1b1d88d0d5f07e7bdd6bf43953ff0cc0b",
+    ("1a", "rand"): "11832fa5fc42f5db57d139336caf00cf2dbf2b87ee346ddba45121c2045e1b49",
+    ("1a", "greedy"): "f52a30ef88cb7715cc3eb638096e790a5ab903a1a62e88a172871b96cc0f39a1",
+    ("2b", "split"): "c09027413dc67218823e73a3c7db4646670c43ddcfac34e7d4e9dbf6bdeeff36",
+    ("2b", "copy"): "f1fef09c59b7ee246c3ecfdabafee68954e2d6dfeb4164f6c11d8b3b2be5b973",
+    ("2b", "rand"): "1ad2178aebd09f0d0f8de4e3f31b8146acfcdeccc834c92e9766f3bed8bc1726",
+    ("2b", "greedy"): "bac30f4f0c6258a783b1716a006a038015e3a1a9497b86ebdf0bec22d28729a9",
+    ("milan-hav", "split"): "5147de17824916edc0c0273b48db2df26dfcf9db03cf2cb27178a7c7fcc5dc37",
+    ("milan-hav", "copy"): "f00b378cbd23f07ae0d2bf853a8d78e3496c35b0bf27f4731161f00123f335b3",
+    ("milan-hav", "rand"): "c01cf820f0d3ac11a067c03e27287c3a0f74d1d2d42ef63e6b81fc47d25a2b74",
+    ("milan-hav", "greedy"): "29c1a93e63ec9ff0997ba6e1d9048ff2803f40c3a34a986fab2a7b93427298c2",
 }
 
 # run_greedy on the ("1a", "greedy") instance above, budget 300: the state it
-# leaves the caller's default_rng(21) in, and through other bit generators
-# (seed 21), digests of its deployed labels and traces.
+# leaves the caller's default_rng(21) in, after the whole 512-word blocks its
+# draws fetched, and through other bit generators (seed 21), digests of its
+# deployed labels and traces.
 GREEDY_RNG_STATE = {
     "bit_generator": "PCG64",
-    "state": {"state": 14723703805512551721556389275007431083,
+    "state": {"state": 167267476996351325716328254413439059360,
               "inc": 309141390015141504862174807861076180645},
     "has_uint32": 0,
-    "uinteger": 2773191265,
+    "uinteger": 0,
 }
 GREEDY_OTHER_DIGESTS = {
-    "MT19937": "521b026a7eb1e102bfae92d63180ddab91b1838ec117d6b3b637745e6cf680de",
-    "Philox": "410603f176392613dca852d7e132eede0804c0a53386a06ede0985a19c6d75f8",
+    "MT19937": "6bf07ae3a6f5afd565ce18521503c6a0d2035cdf6ab3ef885a53515135b3680c",
+    "Philox": "5aaca002fbb27b4ae23ebf6d237a61af4dde641f41403b0087070e288ced5994",
 }
 
 
@@ -132,19 +133,31 @@ def _greedy_1a(rng):
     return solvers.run_greedy(ps, ds.traffic, 300, problem, rng, checkpoint_every=10)
 
 
-def test_greedy_leaves_the_callers_generator_where_its_draws_end():
+def _greedy_state():
     rng = np.random.default_rng(21)
     _greedy_1a(rng)
-    assert rng.bit_generator.state == GREEDY_RNG_STATE
+    return rng.bit_generator.state
 
 
-@pytest.mark.parametrize("bit_generator", sorted(GREEDY_OTHER_DIGESTS))
-def test_greedy_through_other_bit_generators(bit_generator):
+def _greedy_digest(bit_generator):
     h = hashlib.sha256()
     for r in _greedy_1a(np.random.Generator(getattr(np.random, bit_generator)(21))):
         h.update(np.ascontiguousarray(r.best.labels, dtype="<i8").tobytes())
         h.update(np.asarray(r.trace, dtype="<f8").tobytes())
-    assert h.hexdigest() == GREEDY_OTHER_DIGESTS[bit_generator]
+    return h.hexdigest()
+
+
+def test_greedy_leaves_the_callers_generator_where_its_draws_end():
+    assert _greedy_state() == GREEDY_RNG_STATE
+    # That is a whole number of blocks on from where it started.
+    twin = np.random.default_rng(21).bit_generator
+    blocks = [twin.advance(512).state for _ in range(4)]
+    assert GREEDY_RNG_STATE in blocks
+
+
+@pytest.mark.parametrize("bit_generator", sorted(GREEDY_OTHER_DIGESTS))
+def test_greedy_through_other_bit_generators(bit_generator):
+    assert _greedy_digest(bit_generator) == GREEDY_OTHER_DIGESTS[bit_generator]
 
 
 if __name__ == "__main__":
@@ -153,3 +166,8 @@ if __name__ == "__main__":
         for kind, solver in DIGESTS:
             print(f"    (\"{kind}\", \"{solver}\"): \"{_digests(kind, solver)[i]}\",")
         print("}")
+    print(f"GREEDY_RNG_STATE = {_greedy_state()!r}")
+    print("GREEDY_OTHER_DIGESTS = {")
+    for name in GREEDY_OTHER_DIGESTS:
+        print(f"    \"{name}\": \"{_greedy_digest(name)}\",")
+    print("}")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -71,6 +72,38 @@ def test_a_point_set_holds_a_read_only_copy_of_its_positions():
         assert ps.positions.tolist() == [[0.0, 0.0], [3.0, 4.0]]
         assert not ps.positions.flags.writeable
     assert model.build_distance_matrix is model.PointSet
+
+
+def test_a_traffic_day_holds_a_read_only_copy_of_its_values():
+    a = np.array([[0.5, 0.25], [0.0, 1.0]])
+    made = [model.TrafficDay(values=a),
+            dataclasses.replace(model.TrafficDay(values=[[0.1]]), values=a)]
+    a[0, 0] = -7.0  # past the check that entries are >= 0, were it seen
+    for t in made:
+        assert t.values.tolist() == [[0.5, 0.25], [0.0, 1.0]]
+        assert not t.values.flags.writeable
+
+
+def test_a_pickled_point_set_or_traffic_day_comes_back_checked_and_read_only():
+    # Each task of a run with workers > 1 pickles them; unpickling rebuilds them.
+    for x in (model.PointSet([[0.0, 0.0], [3.0, 4.0]]),
+              model.PointSet([[9.19, 45.46], [9.2, 45.47]], metric="haversine_meters"),
+              model.TrafficDay(values=[[0.5, 0.25], [0.0, 1.0]])):
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is type(x)
+        for f in dataclasses.fields(x):
+            want, got = getattr(x, f.name), getattr(back, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == float and got.tolist() == want.tolist()
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = np.nan
+            else:
+                assert got == want
+    # Through its checks: a NaN forced in past them is turned away on the way back.
+    bad = model.TrafficDay(values=[[0.5]])
+    object.__setattr__(bad, "values", np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        pickle.loads(pickle.dumps(bad))
 
 
 def test_traffic_day_validation():

@@ -266,70 +266,98 @@ def test_repair_is_grow_over_choice_draw_for_draw(kind):
     # Every pick size of every point's close list on a line at tau = 2.5, where
     # points up to 5 apart are both close to the middle one: repair must keep
     # the points the frozen ``_grow`` keeps from ``choice``'s picks, in draw
-    # order, and leave the generator where ``choice`` leaves it.
+    # order, and leave the draws where ``choice`` leaves its twin's.
     nbrs = model.within_tau(_points([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5, 9.0]), 2.5)
     rows, rejected = _lists(nbrs), 0
     bits = np.random.MT19937 if kind == "MT19937" else np.random.PCG64
+    wrap = (lambda g: g) if kind == "Generator" else solvers._Draws
     for r, row in enumerate(rows):
         close = [c for c in row if c != r]
         for num in range(1, len(close) + 1):
             for seed in range(4):
-                live, frozen = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
-                draws = live if kind == "Generator" else solvers._Draws(live)
-                got = solvers._repair(rows, r, close, num, draws)
-                picked = frozen.choice(close, size=num, replace=False).tolist()
+                live, frozen = (wrap(np.random.Generator(bits(seed))) for _ in range(2))
+                got = solvers._repair(rows, r, close, num, live)
+                picked = [close[j] for j in frozen.choice(len(close), num, replace=False)]
                 labels = np.zeros(len(rows), dtype=np.int64)
                 _oracles._grow(labels, nbrs, r, picked, 1)
                 assert got == [c for c in picked if labels[c] == 1]
-                if draws is not live:
-                    draws.sync()
                 assert _state(live) == _state(frozen)
                 rejected += len(got) < num
     assert rejected  # repair turned picks away
 
 
-# Ranges of a bounded draw: 1 takes no bits; the 32-bit path runs up to 2**32.
-_SPANS = st.sampled_from([1, 2, 2**31 + 5, 2**32 - 1, 2**32]) | st.integers(1, 60)
-# (method, arguments) as the solvers call them; choice at n = 20,000 takes Floyd's
-# sampling at size 100 and numpy's tail shuffle at 401.
-_CALLS = st.one_of(
-    st.tuples(st.just("integers"), st.tuples(_SPANS)),
-    st.just(("random", ())),
-    st.integers(0, 60).flatmap(
-        lambda n: st.builds(lambda size: ("choice", (n, size, False)), st.integers(0, n))),
-    st.builds(lambda size: ("choice", (20000, size, False)), st.sampled_from([100, 401])),
-)
+def _stream(seed=0, bits=np.random.PCG64):
+    return solvers._Draws(np.random.Generator(bits(seed)))
 
 
-def _lemire_edge(span, leftover):
-    """(has_uint32, uinteger, calls): a kept half-word whose draw in [0, span) has
-    low product bits ``leftover``, next to the rejection threshold 2**32 % span."""
-    return 1, leftover * pow(span, -1, 2**32) % 2**32, [("integers", (span,))]
+@pytest.mark.parametrize("b", [1, 2, 3, 2**32 + 1, 2**63 + 5, 2**64])
+def test_bounded_draws_stay_in_their_range_and_span_it(b):
+    draws = _stream(b % 1000)
+    got = [draws.integers(b) for _ in range(2000)]
+    assert all(type(v) is int and 0 <= v < b for v in got)
+    assert min(got) <= b // 100 and max(got) >= b - 1 - b // 100
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 1), st.integers(0, 2**32 - 1),
-       st.lists(_CALLS, max_size=25))
-@example(0, *_lemire_edge(3, 0))  # rejected: below the threshold 1
-@example(0, *_lemire_edge(3, 1))  # accepted: at it
-@example(0, *_lemire_edge(2**31 + 5, 2**31 - 6))
-@example(0, *_lemire_edge(2**31 + 5, 2**31 - 5))
-@example(0, *_lemire_edge(2**32 - 1, 0))
-@example(0, *_lemire_edge(2**32 - 1, 1))
-def test_draws_replay_numpy_draw_for_draw(seed, has, half, calls):
-    # From any kept half-word (flagged or stale), each replayed draw is numpy's;
-    # after sync the generator is in numpy's state and draws on as numpy's.
-    live, frozen = np.random.default_rng(seed), np.random.default_rng(seed)
-    for g in (live, frozen):
-        g.bit_generator.state = {**g.bit_generator.state, "has_uint32": has, "uinteger": half}
-    draws = solvers._Draws(live)
-    for name, args in calls:
-        got, want = getattr(draws, name)(*args), getattr(frozen, name)(*args)
-        assert np.asarray(got).tolist() == np.asarray(want).tolist()
-    draws.sync()
-    assert live.bit_generator.state == frozen.bit_generator.state
-    assert live.integers(5, size=3).tolist() == frozen.integers(5, size=3).tolist()
-    assert live.random() == frozen.random()
+@pytest.mark.parametrize("b", [3, 2**32 + 1, 2**63 + 5, 2**64 - 1])
+def test_lemire_rejects_below_the_threshold_and_accepts_at_it(b):
+    # For odd b, the word low * b^-1 (mod 2**64) has a product with b whose low word
+    # is low: one just below the threshold 2**64 % b is turned away, one at it kept.
+    t = (1 << 64) % b
+    word = lambda low: low * pow(b, -1, 1 << 64) % (1 << 64)
+    draws = _stream()
+    draws._words = [word(t), word(t - 1)]  # next last
+    assert draws.integers(b) == word(t) * b >> 64
+    assert draws._words == []
+    draws._words = [word(b)]  # a low word of b or more is kept without the threshold
+    assert draws.integers(b) == word(b) * b >> 64
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 41])
+def test_choice_gives_distinct_values_of_the_range(n):
+    draws = _stream(n)
+    for size in range(n + 1):
+        got = draws.choice(n, size, replace=False)
+        assert len(got) == size and set(got) <= set(range(n)) and len(set(got)) == size
+        assert all(type(v) is int for v in got)
+    assert sorted(draws.choice(n, n)) == list(range(n))
+
+
+def test_words_come_in_blocks_mt19937_paired_high_word_first():
+    pcg = _stream(5)
+    assert [pcg._word() for _ in range(1100)] == np.random.PCG64(5).random_raw(1100).tolist()
+    mt, raw = _stream(5, np.random.MT19937), np.random.MT19937(5).random_raw(2200).tolist()
+    assert [mt._word() for _ in range(1100)] == [hi << 32 | lo
+                                                 for hi, lo in zip(raw[0::2], raw[1::2])]
+    # 1100 words take three whole blocks of 512 (of 1024 raw words, on MT19937).
+    for draws, bits, used in ((pcg, np.random.PCG64, 3 * 512), (mt, np.random.MT19937, 3 * 1024)):
+        twin = bits(5)
+        twin.random_raw(used)
+        assert _state(draws.rng) == _state(np.random.Generator(twin))
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+def test_a_fixed_seed_repeats_its_draws(bits):
+    def calls(draws):
+        return [(draws.integers(b), draws.random(), draws.choice(b + 4, 3, replace=False))
+                for b in range(1, 700)]
+
+    a, b = _stream(8, bits), _stream(8, bits)
+    assert calls(a) == calls(b) != calls(_stream(9, bits))
+    assert _state(a) == _state(b)
+
+
+def test_draws_on_small_spans_pass_a_chi_square_test():
+    # Fixed seeds, so the test is deterministic; a biased draw would sit far below 1e-3.
+    import scipy.stats as sps
+
+    draws = _stream(2024)
+    for b in (2, 3, 5, 7, 10, 60):
+        counts = np.bincount([draws.integers(b) for _ in range(600 * b)], minlength=b)
+        assert sps.chisquare(counts).pvalue > 1e-3, b
+    counts = np.bincount([int(draws.random() * 16) for _ in range(9600)], minlength=16)
+    assert sps.chisquare(counts).pvalue > 1e-3
+    picks = np.bincount([v for _ in range(1800) for v in draws.choice(9, 4)], minlength=9)
+    assert sps.chisquare(picks).pvalue > 1e-3
 
 
 def _pulls_match_frozen(coords, tau, parent):
@@ -380,10 +408,15 @@ def test_seed_cluster_of_one_drawn_point_matches_frozen_draws():
 
 
 def _state(rng):
-    """``rng``'s bit generator state, arrays as lists (MT19937 keeps its key in one)."""
-    state = rng.bit_generator.state
-    return {**state, "state": {k: v.tolist() if isinstance(v, np.ndarray) else v
-                               for k, v in state["state"].items()}}
+    """``rng``'s bit generator state, arrays as lists (MT19937 and Philox keep some); of
+    ``solvers._Draws``, its generator's and the words it has yet to use."""
+    if isinstance(rng, solvers._Draws):
+        return _state(rng.rng), rng._words
+
+    def plain(v):
+        return ({k: plain(x) for k, x in v.items()} if isinstance(v, dict)
+                else v.tolist() if isinstance(v, np.ndarray) else v)
+    return plain(rng.bit_generator.state)
 
 
 @settings(max_examples=120, deadline=None)
@@ -391,22 +424,20 @@ def _state(rng):
        st.sampled_from([1, 3, 64]), st.sampled_from(["PCG64", "MT19937", "Generator"]))
 def test_seed_loop_matches_the_frozen_version_over_any_blocks(n, seed, box, block, kind):
     # Pool blocks this small split even tiny instances into many. Through the
-    # replayed draws, MT19937 (numpy's own draws) or a plain Generator, three
-    # individuals in a row must equal the frozen loop's, and the generator
-    # must end where its twin does.
+    # solvers' draws on PCG64 or MT19937, or a plain Generator, three individuals
+    # in a row must equal the frozen loop's, and the draws must end where their
+    # twin's do.
     rng = np.random.default_rng(seed)
     nbrs = model.within_tau(_blobs_and_loners(rng, n, box), 3.0)
     bits = np.random.MT19937 if kind == "MT19937" else np.random.PCG64
-    live, frozen = np.random.Generator(bits(seed + 1)), np.random.Generator(bits(seed + 1))
-    draws = live if kind == "Generator" else solvers._Draws(live)
+    wrap = (lambda g: g) if kind == "Generator" else solvers._Draws
+    live, frozen = (wrap(np.random.Generator(bits(seed + 1))) for _ in range(2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_BLOCK", block)
         for _ in range(3):
-            got = solvers._initial_labels(_lists(nbrs), draws)
+            got = solvers._initial_labels(_lists(nbrs), live)
             want = _oracles._initial_labels(nbrs, frozen)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    if draws is not live:
-        draws.sync()
     assert _state(live) == _state(frozen)
 
 
